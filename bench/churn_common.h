@@ -31,7 +31,7 @@ struct ChurnDriverConfig {
   double delete_ratio = 0.5;    ///< P(delete); 0.5 keeps the alive count stable.
   double avg_degree = 8.0;      ///< Mean degree of the seed graph.
   uint64_t seed = 42;
-  HealerConfig service;         ///< Wave size, guardrail sampling, overlap.
+  HealerConfig service;         ///< Wave size, guardrail sampling, workers.
 };
 
 struct ChurnDriverResult {

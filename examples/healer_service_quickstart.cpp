@@ -2,11 +2,11 @@
 // then a crash-and-resume through the durable snapshot subsystem.
 //
 // The HealerService wraps the plan/commit pipeline in a long-running loop:
-// deletions chop into repair waves, wave N+1's plan overlaps wave N's
-// retirement on a planner thread, a stale plan (any mutation between
-// snapshot and commit) is caught by the epoch gate and re-planned, and
-// every k-th wave emits a certificate that the first-principles checker
-// re-validates in-process (docs/DESIGN.md, "Healer service").
+// deletions chop into repair waves, each wave heals as soon as its last
+// delete arrives, a stale plan (any mutation between snapshot and commit)
+// is caught by the epoch gate and re-planned, and every k-th wave emits a
+// certificate that the first-principles checker re-validates in-process
+// (docs/DESIGN.md, "Healer service").
 //
 // Part two replays the same op stream against a service that keeps durable
 // snapshots (docs/SNAPSHOTS.md), "kills" it two thirds of the way through
@@ -56,12 +56,11 @@ int main() {
   Graph g0 = make_sparse_random(256, 4.0, rng);
 
   // A little churn stream, generated up front so part two can replay it.
-  // The client mirrors the alive set itself — a pushed delete may sit
-  // buffered while a plan is in flight, so sampling insert neighbors from
-  // the engine's committed state could name a victim that dies before the
-  // insert drains. The mirror removes victims the moment their delete is
-  // pushed (and adds each insert's future id, which the engine assigns
-  // sequentially), keeping every op valid at apply time.
+  // No engine exists yet, so the client mirrors the alive set itself: the
+  // mirror removes victims the moment their delete is generated (and adds
+  // each insert's future id, which the engine assigns sequentially),
+  // keeping every op valid when it is pushed — the service would reject
+  // an insert naming a dead neighbour.
   std::vector<ChurnOp> ops;
   std::vector<NodeId> pool(256);
   std::iota(pool.begin(), pool.end(), NodeId{0});

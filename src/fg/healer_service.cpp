@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <ostream>
+#include <string>
 #include <utility>
 
+#include "cert/certificate.h"
 #include "fg/stabilizer.h"
 #include "util/check.h"
 
@@ -16,6 +18,17 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+/// Why `neighbors` cannot attach a new node to `fg` (a dead, unknown or
+/// repeated neighbour), or "" when they can.
+std::string insert_problem(const ForgivingGraph& fg, std::vector<NodeId> neighbors) {
+  for (NodeId y : neighbors)
+    if (!fg.is_alive(y)) return "neighbor " + std::to_string(y) + " is not alive";
+  std::sort(neighbors.begin(), neighbors.end());
+  auto dup = std::adjacent_find(neighbors.begin(), neighbors.end());
+  if (dup != neighbors.end()) return "neighbor " + std::to_string(*dup) + " repeats";
+  return {};
 }
 
 }  // namespace
@@ -45,7 +58,6 @@ HealerService::HealerService(core::StructuralCore&& restored, uint64_t waves_don
   // delta's cursor line up with the uninterrupted run.
   stats_.waves = static_cast<int64_t>(waves_done);
   stats_.ops = static_cast<int64_t>(ops_done);
-  ingested_ops_ = static_cast<int64_t>(ops_done);
   init();
 }
 
@@ -65,61 +77,43 @@ void HealerService::init() {
                                                  config_.snapshot_every);
     std::string err;
     bool wrote = snapshot_->begin(fg_.core(), static_cast<uint64_t>(stats_.waves),
-                                  static_cast<uint64_t>(ingested_ops_), &err);
+                                  static_cast<uint64_t>(stats_.ops), &err);
     FG_CHECK_MSG(wrote, "snapshot: initial base write failed");
     fg_.core().set_delta_recorder(snapshot_.get());
   }
-  if (config_.overlap) planner_.thread = std::thread([this] { planner_loop(); });
 }
 
 HealerService::~HealerService() {
   if (snapshot_) fg_.core().set_delta_recorder(nullptr);
-  if (planner_.thread.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(planner_.mutex);
-      planner_.state = Planner::State::kStop;
-    }
-    planner_.cv.notify_all();
-    planner_.thread.join();
-  }
 }
 
 void HealerService::push(const ChurnOp& op) {
   ++stats_.ops;
-  if (inflight_) {
-    // A plan is in flight: the engine must stay quiescent (the planner is
-    // reading it), so the op buffers in stream order. Once a whole next
-    // chunk is here, wave N has had its full overlap window — retire it
-    // and let the buffered ops through.
-    pending_.push_back(op);
-    if (op.kind == ChurnOp::Kind::kDelete) ++pending_deletes_;
-    if (pending_deletes_ >= config_.wave_size) {
-      retire_inflight();
-      drain_pending();
+  if (op.kind == ChurnOp::Kind::kInsert) {
+    // The core allocates the id and bumps the epoch before it checks the
+    // neighbours, so a bad one must be caught here — rejected without a
+    // trace in the engine, as if the op were never sent.
+    std::string problem = insert_problem(fg_, op.neighbors);
+    if (!problem.empty()) {
+      ++stats_.rejected_inserts;
+      if (alert_) alert_(stats_.waves, "insert rejected: " + problem);
+      return;
     }
+    fg_.insert(op.neighbors);
+    ++stats_.inserts;
     return;
   }
-  ingest(op);
+  if (!fg_.is_alive(op.victim) || forming_set_.contains(op.victim)) {
+    ++stats_.dropped_deletes;
+    return;
+  }
+  forming_.push_back(op.victim);
+  forming_set_.insert(op.victim);
+  if (static_cast<int>(forming_.size()) >= config_.wave_size) dispatch_wave();
 }
 
 void HealerService::flush() {
-  for (;;) {
-    if (inflight_) {
-      retire_inflight();
-      drain_pending();
-      continue;
-    }
-    if (!pending_.empty()) {
-      drain_pending();
-      continue;
-    }
-    if (!forming_.empty()) {
-      dispatch_wave();
-      continue;
-    }
-    break;
-  }
-  check_pending_certificate();
+  if (!forming_.empty()) dispatch_wave();
 }
 
 int64_t HealerService::run(ChurnStream& stream) {
@@ -130,92 +124,27 @@ int64_t HealerService::run(ChurnStream& stream) {
   return stats_.ops - before;
 }
 
-void HealerService::ingest(const ChurnOp& op) {
-  FG_CHECK(!inflight_);
-  ++ingested_ops_;
-  if (op.kind == ChurnOp::Kind::kInsert) {
-    fg_.insert(op.neighbors);
-    ++stats_.inserts;
-    return;
-  }
-  // Deletes are validated against the live engine at ingest time — which,
-  // by the quiescence rule above, is always after every earlier wave
-  // committed, so serial and pipelined execution agree on every drop.
-  if (!fg_.is_alive(op.victim) || forming_set_.contains(op.victim)) {
-    ++stats_.dropped_deletes;
-    return;
-  }
-  forming_.push_back(op.victim);
-  forming_set_.insert(op.victim);
-  if (static_cast<int>(forming_.size()) >= config_.wave_size) dispatch_wave();
-}
-
 void HealerService::dispatch_wave() {
-  FG_CHECK(!inflight_ && !forming_.empty());
   std::vector<NodeId> victims = std::move(forming_);
   forming_.clear();
   forming_set_.clear();
+  const int64_t wave = stats_.waves;
 
-  // The wave's resume cursor: every op ingested so far is either applied
-  // (inserts), dropped, committed in an earlier wave, or in THIS wave — so
-  // once this wave commits, the state reflects exactly ops [0, cursor). No
-  // further ingest runs before the commit (in-flight ops buffer), so
-  // stamping here covers both modes.
-  if (snapshot_) snapshot_->set_cursor(static_cast<uint64_t>(ingested_ops_));
-
-  if (!config_.overlap) {
-    // Serial reference: plan inline, then run the identical admission path
-    // the pipelined loop runs — same hook, same gate, same commit — so the
-    // two modes share every line that decides *what* commits.
-    const int64_t wave = stats_.waves;
-    Clock::time_point t0 = Clock::now();
-    core::RepairPlan plan = fg_.plan_delete_batch(victims);
-    stats_.plan_ms.push_back(ms_since(t0));
-    admit_and_commit(std::move(victims), std::move(plan), wave, t0);
-    check_pending_certificate();
-    return;
-  }
-
-  inflight_victims_ = std::move(victims);
-  {
-    std::lock_guard<std::mutex> lock(planner_.mutex);
-    FG_CHECK(planner_.state == Planner::State::kIdle);
-    planner_.victims = inflight_victims_;
-    planner_.state = Planner::State::kRequested;
-  }
-  planner_.cv.notify_all();
-  inflight_ = true;
-}
-
-void HealerService::retire_inflight() {
-  FG_CHECK(inflight_);
-  // The deferred guardrail check of the previously sampled wave runs here,
-  // while the in-flight plan may still be computing — certificate checking
-  // never touches the engine, so it overlaps the read-only planning.
-  check_pending_certificate();
+  // The wave's resume cursor: every op so far is applied (inserts),
+  // dropped, rejected, committed in an earlier wave, or in THIS wave — so
+  // once this wave commits, the state reflects exactly ops [0, cursor).
+  if (snapshot_) snapshot_->set_cursor(static_cast<uint64_t>(stats_.ops));
 
   Clock::time_point t0 = Clock::now();
-  core::RepairPlan plan;
-  {
-    std::unique_lock<std::mutex> lock(planner_.mutex);
-    planner_.cv.wait(lock, [&] { return planner_.state == Planner::State::kDone; });
-    plan = std::move(planner_.plan);
-    stats_.plan_ms.push_back(planner_.plan_ms);
-    planner_.state = Planner::State::kIdle;
-  }
-  inflight_ = false;
-  admit_and_commit(std::move(inflight_victims_), std::move(plan), stats_.waves, t0);
-}
+  core::RepairPlan plan = fg_.plan_delete_batch(victims);
+  stats_.plan_ms.push_back(ms_since(t0));
 
-void HealerService::admit_and_commit(std::vector<NodeId> victims,
-                                     core::RepairPlan plan, int64_t wave,
-                                     Clock::time_point t0) {
   if (admission_hook_) admission_hook_(wave);
 
   // The epoch gate: the plan was computed against an epoch-stamped logical
-  // snapshot; if any mutation landed since — an op the pipeline sequenced
-  // here, or an external engine() call — the plan is stale, and committing
-  // it would die on the core's FG_CHECK. Detect, re-plan, never commit.
+  // snapshot; if any mutation landed since — through the admission hook or
+  // an external engine() call — the plan is stale, and committing it would
+  // die on the core's FG_CHECK. Detect, re-plan, never commit.
   if (plan.epoch != fg_.mutation_epoch()) {
     ++stats_.stale_replans;
     // The intervening mutation may even have killed victims (an external
@@ -234,6 +163,17 @@ void HealerService::admit_and_commit(std::vector<NodeId> victims,
     plan = fg_.plan_delete_batch(victims);
   }
 
+  // Saves `c` to the certificate stream and checks it in-process; a
+  // rejection is counted and alerted.
+  auto check_certificate = [&](const cert::WaveCertificate& c) {
+    if (cert_stream_ != nullptr) c.save(*cert_stream_);
+    cert::CheckResult res = cert::check(c);
+    if (!res.ok) {
+      ++stats_.cert_rejections;
+      if (alert_) alert_(wave, res.diagnostic);
+    }
+  };
+
   const bool sampled =
       config_.certify_every > 0 && wave % config_.certify_every == 0;
   if (sampled) {
@@ -244,20 +184,16 @@ void HealerService::admit_and_commit(std::vector<NodeId> victims,
   if (sampled) {
     fg_.set_certificate_sink(nullptr);
     FG_CHECK(collector_.certs.size() == 1);
-    pending_cert_ = std::move(collector_.certs.front());
-    pending_cert_wave_ = wave;
-    collector_.certs.clear();
     ++stats_.certified_waves;
+    check_certificate(collector_.certs.front());
+    collector_.certs.clear();
   }
 
   // Self-stabilization guardrail (config_.audit_every): a sampled
   // post-commit audit against I1-I5. On any violation, alert with the
   // report summary and stabilize immediately — the recovery wave's
   // certificate goes through the same save/check path as a sampled
-  // deletion wave, but inline: recovery is an emergency, not a steady
-  // state, so its check never defers. Runs with no plan in flight, which
-  // is what lets stabilize() mutate the engine (same rule as the
-  // admission hook above).
+  // deletion wave.
   if (config_.audit_every > 0 && wave % config_.audit_every == 0) {
     ++stats_.audits;
     Stabilizer stabilizer(fg_);
@@ -271,89 +207,24 @@ void HealerService::admit_and_commit(std::vector<NodeId> victims,
       fg_.set_certificate_sink(nullptr);
       FG_CHECK(recovery.recovered && collector_.certs.size() == 1);
       ++stats_.recoveries;
-      if (cert_stream_ != nullptr) collector_.certs.front().save(*cert_stream_);
-      cert::CheckResult res = cert::check(collector_.certs.front());
+      check_certificate(collector_.certs.front());
       collector_.certs.clear();
-      if (!res.ok) {
-        ++stats_.cert_rejections;
-        if (alert_) alert_(wave, res.diagnostic);
-      }
     }
   }
   stats_.deletes += static_cast<int64_t>(victims.size());
   ++stats_.waves;
   stats_.wave_ms.push_back(ms_since(t0));
 
-  // Snapshot upkeep, with no plan in flight: the wave's delta was appended
-  // when the commit fired on_wave_committed; rotate to a fresh base when
-  // due, or rebase after anything that diverged the mutation epoch from
-  // the op stream (the stabilize() recovery above, an admission-hook
-  // mutation). Disk failures degrade to an alert, never to a crash — the
-  // service keeps healing, the snapshot goes stale.
+  // Snapshot upkeep: the wave's delta was appended when the commit fired
+  // on_wave_committed; rotate to a fresh base when due, or rebase after
+  // anything that diverged the mutation epoch from the op stream (the
+  // stabilize() recovery above, an admission-hook mutation). Disk failures
+  // degrade to an alert, never to a crash — the service keeps healing, the
+  // snapshot goes stale.
   if (snapshot_) {
     snapshot_->maintain(fg_.core());
     std::string err = snapshot_->take_error();
     if (!err.empty() && alert_) alert_(wave, "snapshot: " + err);
-  }
-}
-
-void HealerService::drain_pending() {
-  // Ops buffered during the retired wave's tenure, in stream order.
-  // Ingesting them may fill and dispatch the next wave mid-drain; the rest
-  // re-buffers behind it, and if a whole further chunk is already waiting,
-  // that wave retires too — a large burst pipelines through wave by wave.
-  for (;;) {
-    std::vector<ChurnOp> batch;
-    batch.swap(pending_);
-    pending_deletes_ = 0;
-    for (ChurnOp& op : batch) {
-      if (inflight_) {
-        if (op.kind == ChurnOp::Kind::kDelete) ++pending_deletes_;
-        pending_.push_back(std::move(op));
-      } else {
-        ingest(op);
-      }
-    }
-    if (inflight_ && pending_deletes_ >= config_.wave_size) {
-      retire_inflight();
-      continue;
-    }
-    break;
-  }
-}
-
-void HealerService::check_pending_certificate() {
-  if (!pending_cert_) return;
-  if (cert_stream_ != nullptr) pending_cert_->save(*cert_stream_);
-  cert::CheckResult res = cert::check(*pending_cert_);
-  if (!res.ok) {
-    ++stats_.cert_rejections;
-    if (alert_) alert_(pending_cert_wave_, res.diagnostic);
-  }
-  pending_cert_.reset();
-}
-
-void HealerService::planner_loop() {
-  std::unique_lock<std::mutex> lock(planner_.mutex);
-  for (;;) {
-    planner_.cv.wait(lock, [&] {
-      return planner_.state == Planner::State::kRequested ||
-             planner_.state == Planner::State::kStop;
-    });
-    if (planner_.state == Planner::State::kStop) return;
-    std::vector<NodeId> victims = std::move(planner_.victims);
-    lock.unlock();
-    // Read-only against the quiescent engine: the service buffers every
-    // mutation while this runs (the snapshot the plan's epoch stamps).
-    Clock::time_point t0 = Clock::now();
-    core::RepairPlan plan = fg_.plan_delete_batch(victims);
-    double plan_ms = ms_since(t0);
-    lock.lock();
-    if (planner_.state == Planner::State::kStop) return;
-    planner_.plan = std::move(plan);
-    planner_.plan_ms = plan_ms;
-    planner_.state = Planner::State::kDone;
-    planner_.cv.notify_all();
   }
 }
 

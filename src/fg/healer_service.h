@@ -8,49 +8,42 @@
 //
 //   * It ingests a continuous insert/delete stream (push / run) and chops
 //     it into repair waves of `wave_size` deletions. Inserts apply in
-//     stream order; deletions accumulate into the next wave.
+//     stream order; deletions accumulate into the forming wave, and the
+//     push() of the delete that fills a wave heals it — plan, admit,
+//     commit — before it returns. Nothing is buffered: when push() returns,
+//     its op is applied, dropped, rejected, or pending in the forming wave.
 //   * Planning is SNAPSHOT-BASED: a wave's RepairPlan is computed against
 //     the epoch-stamped logical snapshot the plan records
-//     (core::RepairPlan::epoch). With overlap enabled, a persistent
-//     planner thread computes the plan of wave N+1 while the service
-//     retires wave N — certificate checking, stream ingestion, and
-//     bookkeeping all overlap the (read-only) planning. The service never
-//     mutates the engine while a plan is in flight: ops that arrive
-//     meanwhile are buffered and drained, in stream order, after the
-//     in-flight wave commits.
+//     (core::RepairPlan::epoch).
 //   * Admission is EPOCH-GATED: before committing, the service compares
 //     the plan's epoch stamp against the engine's current mutation epoch.
-//     A stale plan — any mutation landed between snapshot and admission —
-//     is detected and re-planned, never committed (the core would refuse
-//     it with a loud FG_CHECK death; the service turns that hard wall
-//     into a re-plan + counter). Pipelined and serial execution are
-//     byte-identical: checkpoints and certificate bytes are a pure
-//     function of the op stream, never of overlap or worker counts
-//     (contract C4 extended to the service loop —
-//     tests/healer_service_test.cpp).
+//     A stale plan — a mutation through the admission hook or an external
+//     engine() call landed between snapshot and admission — is detected
+//     and re-planned, never committed (the core would refuse it with a loud
+//     FG_CHECK death; the service turns that hard wall into a re-plan +
+//     counter). Checkpoints and certificate bytes are a pure function of
+//     the op stream, never of worker counts (contract C4 extended to the
+//     service loop — tests/healer_service_test.cpp).
 //   * Certificates are a SAMPLED PRODUCTION GUARDRAIL: every k-th wave
 //     (certify_every) emits a per-wave certificate (src/cert,
 //     docs/CERTIFICATES.md), which the service re-validates in-process
-//     with the first-principles checker — overlapped with the next wave's
-//     planning — and surfaces rejections through a service-level alert
-//     callback. The sampled stream can also be teed to an ostream for an
-//     offline tools/fgcheck audit.
+//     with the first-principles checker right after the commit, and
+//     surfaces rejections through a service-level alert callback. The
+//     sampled stream can also be teed to an ostream for an offline
+//     tools/fgcheck audit.
+//   * No client op aborts the service: an insert naming a dead, unknown or
+//     repeated neighbour is rejected before it touches the engine, counted
+//     in stats().rejected_inserts and reported through the alert callback.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
-#include "cert/certificate.h"
 #include "fg/forgiving_graph.h"
 #include "fg/snapshot_writer.h"
 #include "graph/graph.h"
@@ -64,7 +57,8 @@ struct ChurnOp {
 
   Kind kind = Kind::kDelete;
   NodeId victim = kInvalidNode;    ///< kDelete: the processor to delete.
-  std::vector<NodeId> neighbors;   ///< kInsert: attachment points (alive, distinct).
+  std::vector<NodeId> neighbors;   ///< kInsert: attachment points (alive, distinct;
+                                   ///< otherwise the service rejects the op).
 
   static ChurnOp Insert(std::vector<NodeId> neighbors) {
     ChurnOp op;
@@ -89,8 +83,8 @@ class ChurnStream {
 };
 
 /// Replayable vector-backed stream (what the seeded tests use: the same
-/// vector fed to the pipelined service and the serial reference must
-/// produce byte-identical results).
+/// vector fed to the service at any worker count and to a wave-at-a-time
+/// engine replay must produce byte-identical results).
 class VectorChurnStream final : public ChurnStream {
  public:
   explicit VectorChurnStream(std::vector<ChurnOp> ops) : ops_(std::move(ops)) {}
@@ -106,7 +100,7 @@ class VectorChurnStream final : public ChurnStream {
   size_t pos_ = 0;
 };
 
-/// Service policy knobs. Every combination of overlap / worker counts is
+/// Service policy knobs. Every combination of worker counts is
 /// behaviour-identical (C4); the knobs trade wall clock only.
 struct HealerConfig {
   /// Deletions per repair wave. The service heals a wave as soon as this
@@ -117,9 +111,6 @@ struct HealerConfig {
   /// 0, k, 2k, ...) is certified and re-checked in-process. 0 disables the
   /// guardrail entirely (no emission cost).
   int certify_every = 0;
-  /// Overlap planning of wave N+1 with the retirement of wave N on a
-  /// persistent planner thread. Off: plan inline (the serial reference).
-  bool overlap = true;
   /// Forwarded to ForgivingGraph::set_shard_workers / set_commit_workers /
   /// set_break_workers.
   int plan_workers = 1;
@@ -145,8 +136,9 @@ struct HealerConfig {
 
 /// Service counters and per-wave latency record.
 struct HealerStats {
-  int64_t ops = 0;              ///< Ops ingested (inserts + deletes, dropped included).
+  int64_t ops = 0;              ///< Ops ingested (inserts + deletes, dropped and rejected included).
   int64_t inserts = 0;          ///< Insertions applied.
+  int64_t rejected_inserts = 0; ///< Inserts naming a dead, unknown or repeated neighbour.
   int64_t deletes = 0;          ///< Deletions healed (committed in some wave).
   int64_t dropped_deletes = 0;  ///< Deletes of already-dead or already-pending victims.
   int64_t waves = 0;            ///< Repair waves committed.
@@ -157,12 +149,10 @@ struct HealerStats {
   int64_t audit_violations = 0; ///< Total violations those audits reported.
   int64_t recoveries = 0;       ///< Stabilize passes that rebuilt state.
 
-  /// Per-wave repair latency (milliseconds) as the service loop saw it:
-  /// planner stall + admission (re-plan included) + commit. With overlap,
-  /// the planning that finished before retirement costs nothing here.
+  /// Per-wave repair latency (milliseconds): plan + admission (re-plan
+  /// included) + commit + the wave's sampled guardrails.
   std::vector<double> wave_ms;
-  /// Per-wave planning wall clock (milliseconds), measured where the plan
-  /// ran (planner thread or inline).
+  /// Per-wave planning wall clock (milliseconds), the first plan only.
   std::vector<double> plan_ms;
 
   /// Percentile over wave_ms (p in [0, 100]; 0 for an empty record).
@@ -173,14 +163,15 @@ struct HealerStats {
 /// sampled certificates checked on the side.
 class HealerService {
  public:
-  /// Alert callback: fired on the service thread when a sampled
-  /// certificate fails the in-process check, with the wave index and the
-  /// checker's diagnostic.
+  /// Alert callback: fired on the calling thread when a sampled
+  /// certificate fails the in-process check, an audit finds violations,
+  /// an insert is rejected or a snapshot write fails, with the wave index
+  /// and a diagnostic.
   using AlertFn = std::function<void(int64_t wave, const std::string& diagnostic)>;
-  /// Test seam: fired at admission time, after the plan is available but
-  /// before the epoch gate. Runs on the service thread with no plan in
-  /// flight, so the hook may mutate the engine — which is exactly how the
-  /// stale-plan tests drive a mutation between snapshot and commit.
+  /// Test seam: fired at admission time, after the plan is computed but
+  /// before the epoch gate. The hook may mutate the engine — which is
+  /// exactly how the stale-plan tests drive a mutation between snapshot
+  /// and commit.
   using AdmissionHook = std::function<void(int64_t wave)>;
 
   explicit HealerService(const Graph& g0, HealerConfig config = {});
@@ -201,10 +192,10 @@ class HealerService {
   HealerService(const HealerService&) = delete;
   HealerService& operator=(const HealerService&) = delete;
 
-  /// The engine the service drives. Mutating it while a plan is in flight
-  /// is the caller's race to lose — do it only from the admission hook or
-  /// when the service is drained (after flush()). The service owns the
-  /// engine's certificate sink; don't install your own.
+  /// The engine the service drives. Mutate it only between push() calls or
+  /// from the admission hook; the epoch gate re-plans any wave such a
+  /// mutation makes stale. The service owns the engine's certificate sink;
+  /// don't install your own.
   ForgivingGraph& engine() { return fg_; }
   const ForgivingGraph& engine() const { return fg_; }
 
@@ -219,47 +210,26 @@ class HealerService {
   /// audit). nullptr disables.
   void set_certificate_stream(std::ostream* os) { cert_stream_ = os; }
 
-  /// Ingest one op. Inserts apply in stream order; deletes accumulate into
-  /// the forming wave (duplicates and dead victims are dropped, counted in
-  /// stats().dropped_deletes). A full wave dispatches automatically; with
-  /// overlap on, ops pushed while a plan is in flight are buffered and
-  /// drained after that wave commits.
+  /// Ingest one op. Inserts apply at once (or are rejected, counted in
+  /// stats().rejected_inserts); deletes accumulate into the forming wave
+  /// (duplicates and dead victims are dropped, counted in
+  /// stats().dropped_deletes). The delete that fills a wave heals it
+  /// before push() returns, so stats() already counts that wave.
   void push(const ChurnOp& op);
 
-  /// Drain the pipeline: retire any in-flight wave, heal the partial
-  /// trailing wave, and finish the deferred certificate check. The service
-  /// is idle afterwards (and may keep ingesting).
+  /// Heal the partial trailing wave, if any. The service may keep
+  /// ingesting afterwards.
   void flush();
 
   /// push() every op of `stream`, then flush(). Returns ops ingested.
   int64_t run(ChurnStream& stream);
 
  private:
-  /// One-slot planner pipe: the persistent planner thread computes one
-  /// read-only RepairPlan at a time against the (quiescent) engine.
-  struct Planner {
-    std::thread thread;
-    std::mutex mutex;
-    std::condition_variable cv;
-    enum class State { kIdle, kRequested, kDone, kStop } state = State::kIdle;
-    std::vector<NodeId> victims;
-    core::RepairPlan plan;
-    double plan_ms = 0.0;
-  };
-
   void init();
-  void ingest(const ChurnOp& op);
+  /// Heals the forming wave: plan, then the admission path — test hook,
+  /// epoch gate (stale -> re-validate victims, re-plan), commit, sampled
+  /// certificate check and audit, per-wave bookkeeping, snapshot upkeep.
   void dispatch_wave();
-  void retire_inflight();
-  /// The shared admission path of both modes: test hook, epoch gate (stale
-  /// -> re-validate victims, re-plan), sampled certificate emission, commit,
-  /// per-wave bookkeeping. `t0` is when the service started waiting on this
-  /// wave (what wave_ms measures from).
-  void admit_and_commit(std::vector<NodeId> victims, core::RepairPlan plan,
-                        int64_t wave, std::chrono::steady_clock::time_point t0);
-  void drain_pending();
-  void check_pending_certificate();
-  void planner_loop();
 
   ForgivingGraph fg_;
   HealerConfig config_;
@@ -271,28 +241,12 @@ class HealerService {
   /// The wave being formed (victims validated against the live engine).
   std::vector<NodeId> forming_;
   std::unordered_set<NodeId> forming_set_;
-  /// Ops buffered while a plan is in flight, in stream order.
-  std::vector<ChurnOp> pending_;
-  int64_t pending_deletes_ = 0;
-
-  /// In-flight wave (overlap mode): victims handed to the planner.
-  bool inflight_ = false;
-  std::vector<NodeId> inflight_victims_;
-  Planner planner_;
-
-  /// Sampled certificate awaiting its deferred in-process check (runs
-  /// overlapped with the next wave's planning).
-  std::optional<cert::WaveCertificate> pending_cert_;
-  int64_t pending_cert_wave_ = 0;
   harness::CertificateCollector collector_;
 
   /// Durable-snapshot writer (HealerConfig::snapshot_every), installed as
-  /// the core's delta recorder. ingested_ops_ counts ops that fully passed
-  /// ingest() — the resume cursor stamped into each wave's delta at
-  /// dispatch time (ops buffered behind an in-flight plan are pushed but
-  /// not yet ingested, so stats_.ops would over-count).
+  /// the core's delta recorder. Each wave's delta carries stats_.ops as its
+  /// resume cursor.
   std::unique_ptr<SnapshotWriter> snapshot_;
-  int64_t ingested_ops_ = 0;
 };
 
 }  // namespace fg

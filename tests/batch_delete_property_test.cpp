@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
 
 #include "adversary/adversary.h"
@@ -57,6 +58,14 @@ struct BatchCase {
   int waves;
   uint64_t seed;
 };
+
+// Prints the case by value: gtest's default dumps the raw bytes, which
+// include the address of `graph` and so change from run to run, and the
+// printed value is part of each test's name under ctest.
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " batch=" << c.batch << " waves=" << c.waves
+      << " seed=" << c.seed;
+}
 
 class BatchVsSequential : public ::testing::TestWithParam<BatchCase> {};
 

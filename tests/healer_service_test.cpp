@@ -1,26 +1,31 @@
 // The healer-service battery: contract C4 extended to the serving loop.
 //
-// The pipelined service (overlap on, any worker count) must be an exact
-// refinement of the serial wave-at-a-time reference: the same seeded churn
-// stream produces byte-identical engine checkpoints AND byte-identical
-// sampled-certificate streams, because overlap and worker counts are pure
-// scheduling choices — the op stream alone decides what commits
-// (src/fg/healer_service.h, the quiescence rule). On top of that, the
+// The service at any worker count must be an exact refinement of the
+// wave-at-a-time engine: the same seeded churn stream replayed straight
+// into ForgivingGraph::delete_batch, one wave of `wave_size` live victims
+// at a time, produces byte-identical engine checkpoints AND byte-identical
+// sampled-certificate streams, because worker counts are pure scheduling
+// choices — the op stream alone decides what commits. On top of that, the
 // epoch-gated admission path is driven through its test seam: a mutation
 // landing between snapshot and commit must be detected and re-planned,
 // never committed — the core's FG_CHECK death is the wall the gate keeps
-// the service from hitting.
+// the service from hitting. Bad client ops get a typed rejection, never an
+// abort, and the counters heal/join latency is measured by are up to date
+// when push() returns.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cert/certificate.h"
 #include "fg/healer_service.h"
 #include "fg/stabilizer.h"
 #include "graph/generators.h"
+#include "harness/certificate.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -84,45 +89,94 @@ ServiceRun run_service(const Graph& g0, const std::vector<ChurnOp>& ops,
   return ServiceRun{checkpoint(service.engine()), certs.str(), service.stats()};
 }
 
+/// The wave-at-a-time reference: `ops` replayed straight into a
+/// ForgivingGraph with no service code on the path — inserts apply at once,
+/// deletes of live, not-yet-queued victims chop into waves of `wave_size`,
+/// each healed by one delete_batch, and every `certify_every`-th wave's
+/// certificate is saved in order.
+struct Replay {
+  std::string checkpoint;
+  std::string cert_bytes;
+  int64_t waves = 0;
+  int64_t deletes = 0;
+};
+
+Replay replay_waves(const Graph& g0, const std::vector<ChurnOp>& ops, int wave_size,
+                    int certify_every,
+                    core::RegionSplit split = core::RegionSplit::kPerRegion) {
+  ForgivingGraph fg(g0);
+  fg.set_region_split(split);
+  harness::CertificateCollector collector;
+  std::ostringstream certs;
+  std::vector<NodeId> wave;
+  std::unordered_set<NodeId> in_wave;
+  Replay out;
+  auto heal = [&] {
+    const bool sampled = certify_every > 0 && out.waves % certify_every == 0;
+    fg.set_certificate_sink(sampled ? &collector : nullptr);
+    fg.delete_batch(wave);
+    fg.set_certificate_sink(nullptr);
+    for (const cert::WaveCertificate& c : collector.certs) c.save(certs);
+    collector.certs.clear();
+    out.deletes += static_cast<int64_t>(wave.size());
+    ++out.waves;
+    wave.clear();
+    in_wave.clear();
+  };
+  for (const ChurnOp& op : ops) {
+    if (op.kind == ChurnOp::Kind::kInsert) {
+      fg.insert(op.neighbors);
+      continue;
+    }
+    if (!fg.is_alive(op.victim) || !in_wave.insert(op.victim).second) continue;
+    wave.push_back(op.victim);
+    if (static_cast<int>(wave.size()) == wave_size) heal();
+  }
+  if (!wave.empty()) heal();
+  out.checkpoint = checkpoint(fg);
+  out.cert_bytes = certs.str();
+  return out;
+}
+
 // ---------------------------------------------------------------------------
-// Pipelined-vs-serial equivalence.
+// Service-vs-engine equivalence.
 
 class HealerServiceEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(HealerServiceEquivalence, PipelinedMatchesSerialByteIdentically) {
+TEST_P(HealerServiceEquivalence, MatchesWaveAtATimeReplayByteIdentically) {
+  // The service at {1,2,4} workers × both RegionSplit modes against the
+  // direct wave-at-a-time replay of the same stream: byte-identical engine
+  // state AND certificate stream. Each split heals a different structure,
+  // so each compares against its own replay.
   const int workers = GetParam();
   Rng rng(9001);
   Graph g0 = make_sparse_random(400, 5.0, rng);
   std::vector<ChurnOp> ops = make_stream(400, 3000, 0xFEED);
 
-  HealerConfig serial;
-  serial.wave_size = 16;
-  serial.certify_every = 8;
-  serial.overlap = false;
-  ServiceRun reference = run_service(g0, ops, serial);
-  ASSERT_GT(reference.stats.waves, 10);
-  ASSERT_GT(reference.stats.certified_waves, 2);
-  ASSERT_FALSE(reference.cert_bytes.empty());
+  for (core::RegionSplit split :
+       {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
+    Replay reference = replay_waves(g0, ops, 16, 8, split);
+    ASSERT_GT(reference.waves, 10);
+    ASSERT_FALSE(reference.cert_bytes.empty());
 
-  HealerConfig pipelined = serial;
-  pipelined.overlap = true;
-  pipelined.plan_workers = workers;
-  pipelined.commit_workers = workers;
-  pipelined.break_workers = workers;
-  ServiceRun overlapped = run_service(g0, ops, pipelined);
+    HealerConfig config;
+    config.wave_size = 16;
+    config.certify_every = 8;
+    config.plan_workers = workers;
+    config.commit_workers = workers;
+    config.break_workers = workers;
+    ServiceRun run = run_service(g0, ops, config, split);
 
-  // Byte-identical engine state AND certificate stream: the serving loop's
-  // schedule (overlap, worker counts) is invisible in everything it emits.
-  EXPECT_EQ(reference.checkpoint, overlapped.checkpoint)
-      << "checkpoint diverged at " << workers << " workers";
-  EXPECT_EQ(reference.cert_bytes, overlapped.cert_bytes)
-      << "certificate stream diverged at " << workers << " workers";
-  EXPECT_EQ(reference.stats.waves, overlapped.stats.waves);
-  EXPECT_EQ(reference.stats.deletes, overlapped.stats.deletes);
-  EXPECT_EQ(reference.stats.inserts, overlapped.stats.inserts);
-  EXPECT_EQ(reference.stats.dropped_deletes, overlapped.stats.dropped_deletes);
-  EXPECT_EQ(reference.stats.certified_waves, overlapped.stats.certified_waves);
-  EXPECT_EQ(overlapped.stats.stale_replans, 0);
+    EXPECT_EQ(reference.checkpoint, run.checkpoint)
+        << "checkpoint diverged at " << workers << " workers";
+    EXPECT_EQ(reference.cert_bytes, run.cert_bytes)
+        << "certificate stream diverged at " << workers << " workers";
+    EXPECT_EQ(reference.waves, run.stats.waves);
+    EXPECT_EQ(reference.deletes, run.stats.deletes);
+    EXPECT_EQ(run.stats.certified_waves, (run.stats.waves + 7) / 8);
+    EXPECT_EQ(run.stats.stale_replans, 0);
+    EXPECT_EQ(run.stats.rejected_inserts, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, HealerServiceEquivalence,
@@ -130,34 +184,29 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, HealerServiceEquivalence,
 
 TEST(HealerService, BreakWorkersBitIdenticalAcrossSplits) {
   // The break fan-out through the full serving loop: break workers {1,2,4}
-  // × both RegionSplit modes must produce byte-identical checkpoints AND
-  // byte-identical sampled-certificate streams (C4 extended to the break
-  // phase). Each split heals a different structure, so each compares
-  // against its own break_workers=1 serial reference.
+  // × both RegionSplit modes against the wave-at-a-time replay (C4
+  // extended to the break phase), on a second substrate and stream.
   Rng rng(9002);
   Graph g0 = make_sparse_random(300, 5.0, rng);
   std::vector<ChurnOp> ops = make_stream(300, 1500, 0xBEEF);
 
   for (core::RegionSplit split :
        {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
-    HealerConfig serial;
-    serial.wave_size = 16;
-    serial.certify_every = 8;
-    serial.overlap = false;
-    ServiceRun reference = run_service(g0, ops, serial, split);
-    ASSERT_GT(reference.stats.certified_waves, 1);
+    Replay reference = replay_waves(g0, ops, 16, 8, split);
+    ASSERT_GT(reference.waves, 8);
 
-    for (int workers : {2, 4}) {
-      HealerConfig pipelined = serial;
-      pipelined.overlap = true;
-      pipelined.break_workers = workers;
-      pipelined.commit_workers = workers;
-      ServiceRun overlapped = run_service(g0, ops, pipelined, split);
-      EXPECT_EQ(reference.checkpoint, overlapped.checkpoint)
+    for (int workers : {1, 2, 4}) {
+      HealerConfig config;
+      config.wave_size = 16;
+      config.certify_every = 8;
+      config.break_workers = workers;
+      config.commit_workers = workers;
+      ServiceRun run = run_service(g0, ops, config, split);
+      EXPECT_EQ(reference.checkpoint, run.checkpoint)
           << "checkpoint diverged at break workers=" << workers;
-      EXPECT_EQ(reference.cert_bytes, overlapped.cert_bytes)
+      EXPECT_EQ(reference.cert_bytes, run.cert_bytes)
           << "certificate stream diverged at break workers=" << workers;
-      EXPECT_EQ(overlapped.stats.stale_replans, 0);
+      EXPECT_EQ(run.stats.stale_replans, 0);
     }
   }
 }
@@ -170,8 +219,8 @@ Graph make_test_substrate() {
 
 TEST(HealerService, DuplicateAndDeadDeletesDropConsistently) {
   // Duplicates inside one forming wave and deletes of long-dead victims
-  // must be dropped by the same rule in both modes — drops are decided at
-  // ingest time, when every earlier wave has already committed.
+  // are dropped by the replay's rule — decided at ingest time, when every
+  // earlier wave has already committed.
   Graph g0 = make_test_substrate();
   std::vector<ChurnOp> ops;
   for (NodeId v : {NodeId{3}, NodeId{3}, NodeId{7}, NodeId{9}, NodeId{11}})
@@ -180,19 +229,140 @@ TEST(HealerService, DuplicateAndDeadDeletesDropConsistently) {
     ops.push_back(ChurnOp::Delete(v));  // long dead by now
   ops.push_back(ChurnOp::Insert({NodeId{20}, NodeId{21}}));
 
-  HealerConfig serial;
-  serial.wave_size = 4;
-  serial.overlap = false;
-  ServiceRun reference = run_service(g0, ops, serial);
+  HealerConfig config;
+  config.wave_size = 4;
+  ServiceRun run = run_service(g0, ops, config);
+  Replay reference = replay_waves(g0, ops, 4, 0);
 
-  HealerConfig pipelined = serial;
-  pipelined.overlap = true;
-  ServiceRun overlapped = run_service(g0, ops, pipelined);
+  EXPECT_EQ(run.stats.dropped_deletes, 3);
+  EXPECT_EQ(run.stats.deletes, 4);
+  EXPECT_EQ(reference.deletes, 4);
+  EXPECT_EQ(reference.checkpoint, run.checkpoint);
+}
 
-  EXPECT_EQ(reference.stats.dropped_deletes, 3);
-  EXPECT_EQ(overlapped.stats.dropped_deletes, 3);
-  EXPECT_EQ(reference.stats.deletes, 4);
-  EXPECT_EQ(reference.checkpoint, overlapped.checkpoint);
+TEST(HealerService, RejectsBadInsertsWithoutAborting) {
+  // Inserts naming a dead, unknown or repeated neighbour are client errors:
+  // the service rejects each one before it reaches the engine (which would
+  // have allocated an id and bumped the epoch, then died), counts it,
+  // alerts, and keeps serving. The result is byte-identical to the stream
+  // that never carried the bad ops.
+  Graph g0 = make_test_substrate();
+  std::vector<ChurnOp> ops = make_stream(64, 400, 0xBAD);
+  const NodeId first_victim = [&] {
+    for (const ChurnOp& op : ops)
+      if (op.kind == ChurnOp::Kind::kDelete) return op.victim;
+    return kInvalidNode;
+  }();
+  ASSERT_NE(first_victim, kInvalidNode);
+
+  HealerConfig config;
+  config.wave_size = 4;
+  config.certify_every = 2;
+  ServiceRun clean = run_service(g0, ops, config);
+
+  HealerService service(g0, config);
+  std::ostringstream certs;
+  service.set_certificate_stream(&certs);
+  std::vector<std::string> alerts;
+  service.set_alert([&alerts](int64_t, const std::string& what) { alerts.push_back(what); });
+  const size_t mid = ops.size() / 2;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (i == mid) {
+      ASSERT_FALSE(service.engine().is_alive(first_victim));
+      service.push(ChurnOp::Insert({NodeId{1}, first_victim}));  // dead
+      service.push(ChurnOp::Insert({NodeId{1}, NodeId{1 << 30}}));  // never existed
+      service.push(ChurnOp::Insert({kInvalidNode}));
+      service.push(ChurnOp::Insert({NodeId{40}, NodeId{41}, NodeId{40}}));  // repeated
+    }
+    service.push(ops[i]);
+  }
+  service.flush();
+
+  const HealerStats& stats = service.stats();
+  EXPECT_EQ(stats.rejected_inserts, 4);
+  EXPECT_EQ(stats.ops, static_cast<int64_t>(ops.size()) + 4);
+  EXPECT_EQ(stats.inserts, clean.stats.inserts);
+  EXPECT_EQ(stats.waves, clean.stats.waves);
+  EXPECT_EQ(stats.cert_rejections, 0);
+  ASSERT_EQ(alerts.size(), 4u);
+  for (const std::string& a : alerts) EXPECT_EQ(a.rfind("insert rejected: ", 0), 0u) << a;
+  EXPECT_EQ(checkpoint(service.engine()), clean.checkpoint);
+  EXPECT_EQ(certs.str(), clean.cert_bytes);
+  service.engine().validate();
+}
+
+// ---------------------------------------------------------------------------
+// Completion contract: heal and join latency are measured from outside as
+// the time until push() returns, so the counters must already reflect the
+// op by then — with and without the guardrails.
+
+/// `tag` names the snapshot files: ctest runs tests as parallel processes,
+/// so each test needs its own.
+HealerConfig contract_config(bool guarded, const std::string& tag) {
+  HealerConfig config;
+  config.wave_size = 4;
+  if (guarded) {
+    config.certify_every = 1;
+    config.audit_every = 1;
+    config.snapshot_every = 2;
+    config.snapshot_path = testing::TempDir() + "/healer_contract_" + tag;
+  }
+  return config;
+}
+
+void remove_snapshot_files(const HealerConfig& config) {
+  if (config.snapshot_path.empty()) return;
+  std::remove((config.snapshot_path + ".base").c_str());
+  std::remove((config.snapshot_path + ".log").c_str());
+}
+
+TEST(HealerService, WaveIsCountedWhenItsClosingPushReturns) {
+  Graph g0 = make_test_substrate();
+  std::vector<ChurnOp> ops = make_stream(64, 300, 0xC105E);
+  for (bool guarded : {false, true}) {
+    HealerConfig config = contract_config(guarded, "wave");
+    {
+      HealerService service(g0, config);
+      int64_t deletes = 0;
+      for (const ChurnOp& op : ops) {
+        if (op.kind == ChurnOp::Kind::kDelete) ++deletes;
+        service.push(op);
+        ASSERT_EQ(service.stats().waves, deletes / config.wave_size)
+            << "guarded=" << guarded << " after " << deletes << " deletes";
+        ASSERT_EQ(service.stats().deletes, deletes / config.wave_size * config.wave_size);
+      }
+      ASSERT_GT(service.stats().waves, 10);
+      EXPECT_EQ(service.stats().dropped_deletes, 0);
+      if (guarded) {
+        EXPECT_EQ(service.stats().certified_waves, service.stats().waves);
+        EXPECT_EQ(service.stats().audits, service.stats().waves);
+      }
+    }
+    remove_snapshot_files(config);
+  }
+}
+
+TEST(HealerService, InsertIsCountedWhenItsPushReturns) {
+  Graph g0 = make_test_substrate();
+  std::vector<ChurnOp> ops = make_stream(64, 300, 0x10105);
+  for (bool guarded : {false, true}) {
+    HealerConfig config = contract_config(guarded, "insert");
+    {
+      HealerService service(g0, config);
+      int64_t inserts = 0;
+      for (const ChurnOp& op : ops) {
+        const NodeId next_id = static_cast<NodeId>(service.engine().gprime().node_capacity());
+        service.push(op);
+        if (op.kind != ChurnOp::Kind::kInsert) continue;
+        ++inserts;
+        ASSERT_EQ(service.stats().inserts, inserts) << "guarded=" << guarded;
+        EXPECT_TRUE(service.engine().is_alive(next_id));
+      }
+      ASSERT_GT(inserts, 100);
+      EXPECT_EQ(service.stats().rejected_inserts, 0);
+    }
+    remove_snapshot_files(config);
+  }
 }
 
 TEST(HealerService, FlushHealsThePartialTrailingWave) {
@@ -274,9 +444,7 @@ TEST(HealerServiceDeathTest, ForcedStaleCommitDiesWithoutTheGate) {
   // re-plan counted by the tests above.
   Rng rng(9);
   Graph g0 = make_sparse_random(64, 4.0, rng);
-  HealerConfig config;
-  config.overlap = false;  // no planner thread in the parent of the death fork
-  HealerService service(g0, config);
+  HealerService service(g0);
   std::vector<NodeId> wave{NodeId{1}, NodeId{2}};
   core::RepairPlan plan = service.engine().plan_delete_batch(wave);
   service.push(ChurnOp::Insert({NodeId{10}, NodeId{11}}));  // epoch bump

@@ -451,7 +451,6 @@ HealerConfig snapshot_config(const std::string& tag, int snapshot_every) {
   HealerConfig config;
   config.wave_size = 8;
   config.certify_every = 4;
-  config.overlap = true;
   config.plan_workers = 2;
   config.commit_workers = 2;
   config.break_workers = 2;

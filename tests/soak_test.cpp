@@ -83,7 +83,7 @@ TEST(Soak, DistributedEquivalenceLongRun) {
 }
 
 TEST(Soak, ChurnStreamThroughHealerService) {
-  // The serving loop under a longer pipelined churn stream, with the
+  // The serving loop under a longer churn stream, with the
   // sampled guardrail as the oracle: every k-th wave's certificate is
   // re-derived and checked from first principles by src/cert (which never
   // links the engine), and the structural invariants are re-validated at
