@@ -18,13 +18,11 @@
 // Prints the measured tables and writes the same rows as a
 // BENCH_repair_path.json artifact (cwd) for docs/EXPERIMENTS.md.
 // Wall-clock numbers vary by machine; ratios are the reproducible part.
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -63,7 +61,7 @@ struct JsonRow {
   double per_op_us = 0.0;
   /// Worker-count-dependent rows (the w1/w2/w4 arms and their speedup
   /// ratios) carry an explicit "single_core" field in the JSON: on a box
-  /// with one hardware thread the engine never fans out (the CommitPool
+  /// with one hardware thread the engine never fans out (the WorkerPool
   /// gate), so a speedup of ~1.0 there is the gate working, not a
   /// regression — consumers must not compare such rows against multi-core
   /// baselines.
@@ -346,8 +344,8 @@ void sharded_wave(Table& t, Table& cost) {
     mark_worker_dependent();
     if (workers == 1) plan_w1_ms = plan_ms;
     if (workers == 4 && plan_ms > 0.0) {
-      // > 1 when the worker fan-out wins (multi-core); < 1 where thread
-      // spawn dominates (single-core boxes). Recorded either way.
+      // > 1 when the worker fan-out wins (multi-core); ~1 on single-core
+      // boxes, where the pool has no threads. Recorded either way.
       g_rows.push_back({"sharded_plan_speedup_w4", kN, kWave, plan_w1_ms / plan_ms, 0.0});
       mark_worker_dependent();
     }
@@ -366,7 +364,7 @@ void sharded_wave(Table& t, Table& cost) {
   // identical structure at every count — the arena-id reservation fixes
   // every handle at plan time — so worker counts are an A/B on wall clock
   // only (FG_CHECKed against the reference above). On a box with a single
-  // hardware thread the engine never fans out (see ShardedForest::commit),
+  // hardware thread the engine never fans out (see ShardedForest::rebuild_pool),
   // so w > 1 measures the gate, not a pool; docs/REPRODUCING.md has the
   // caveat.
   double commit_w1_ms = 0.0;
@@ -394,7 +392,7 @@ void sharded_wave(Table& t, Table& cost) {
   }
   // R7: the break phase alone per break-worker count, driven through the
   // core's public phase API (begin_break / break_region / apply_break_effects
-  // / finish_break) with a CommitPool fan-out — the same pipeline
+  // / finish_break) with a WorkerPool fan-out — the same pipeline
   // ShardedForest::execute runs, timed around the break only. The merge then
   // completes untimed and the checkpoint is FG_CHECKed against the w=1
   // reference (C4 covers the break fan-out too).
@@ -405,45 +403,27 @@ void sharded_wave(Table& t, Table& cost) {
     ShardedForest shards;
     core::RepairPlan plan = shards.plan(core, wave);
     const int regions = static_cast<int>(plan.regions.size());
+    const size_t n = static_cast<size_t>(regions);
     // Persistent-pool discipline: spawn before the timer, like the engine.
-    std::unique_ptr<CommitPool> pool =
-        workers > 1 ? std::make_unique<CommitPool>(workers - 1) : nullptr;
-    std::vector<core::StructuralCore::BreakEffects> effects(
-        static_cast<size_t>(regions));
+    WorkerPool pool(workers - 1);
+    std::vector<core::StructuralCore::BreakEffects> break_fx(n);
+    std::vector<std::vector<VNodeId>> pieces(n);
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::vector<VNodeId>> pieces;
-    if (workers == 1) {
-      pieces = core.commit_break(plan);
-    } else {
-      core.begin_break(plan);
-      pieces.resize(static_cast<size_t>(regions));
-      struct Ctx {
-        std::atomic<int> next{0};
-        std::atomic<int> broken{0};
-      };
-      auto ctx = std::make_shared<Ctx>();
-      auto work = [&core, &plan, &pieces, &effects, ctx, regions] {
-        for (;;) {
-          int r = ctx->next.fetch_add(1, std::memory_order_relaxed);
-          if (r >= regions) return;
-          pieces[static_cast<size_t>(r)] = core.break_region(
-              plan.regions[static_cast<size_t>(r)],
-              &effects[static_cast<size_t>(r)]);
-          ctx->broken.fetch_add(1, std::memory_order_release);
-        }
-      };
-      pool->dispatch(work);
-      work();
-      while (ctx->broken.load(std::memory_order_acquire) < regions)
-        std::this_thread::yield();
-      for (int r = 0; r < regions; ++r)
-        core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
-                                 effects[static_cast<size_t>(r)]);
-      core.finish_break(plan);
-    }
+    core.begin_break(plan);
+    pool.run(workers, regions, [&](int r) {
+      const size_t i = static_cast<size_t>(r);
+      pieces[i] = core.break_region(plan.regions[i], &break_fx[i]);
+    });
+    for (size_t i = 0; i < n; ++i) core.apply_break_effects(plan.regions[i], break_fx[i]);
+    core.finish_break(plan);
     double break_ms = ms_since(t0);
 
-    shards.commit(core, plan, std::move(pieces));  // untimed merge
+    // Untimed merge.
+    std::vector<core::StructuralCore::MergeEffects> merge_fx(n);
+    for (size_t i = 0; i < n; ++i)
+      core.merge_region(plan.regions[i], std::move(pieces[i]), &merge_fx[i]);
+    for (size_t i = 0; i < n; ++i) core.apply_merge_effects(merge_fx[i]);
+    core.check_reservation_settled(plan);
     std::stringstream after;
     core.save(after);
     FG_CHECK_MSG(after.str() == reference,
@@ -461,7 +441,7 @@ void sharded_wave(Table& t, Table& cost) {
 
   if (single_core()) {
     std::cout << "note: hardware_concurrency() == 1 — the engine never fans "
-                 "out here (the CommitPool gate), so the w4 speedup rows "
+                 "out here (the WorkerPool gate), so the w4 speedup rows "
                  "measure the gate, not parallelism. They are marked "
                  "\"single_core\": true in BENCH_repair_path.json; do not "
                  "compare them against multi-core baselines.\n\n";

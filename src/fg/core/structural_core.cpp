@@ -572,19 +572,20 @@ void StructuralCore::finish_break(const RepairPlan& plan) {
 VNodeId StructuralCore::merge_region(const RegionPlan& region,
                                      std::vector<VNodeId>&& pieces,
                                      MergeEffects* effects) {
+  FG_CHECK_MSG(effects != nullptr, "merge_region records into a MergeEffects");
   FG_CHECK(pieces.size() == region.pieces.size());
-  if (effects) effects->reset();
+  effects->reset();
   if (pieces.empty()) return kNoVNode;
   FG_CHECK_MSG(region.arena_base >= 0, "merge_region requires a reserved plan");
   pieces.reserve(pieces.size() + region.steps.size());
-  if (effects) effects->image_edges.reserve(2 * region.steps.size());
+  effects->image_edges.reserve(2 * region.steps.size());
   // The region's helpers live right after its fresh leaves in the reserved
-  // range; step s constructs handle arena_base + fresh + s. With `effects`
-  // set, everything below touches region-local state only — the helper's
-  // reserved slot in the pre-grown arena, the children's parent links, and
-  // the (existing) slot entry of the representative leaf — which is why
-  // disjoint regions can run this concurrently (docs/CONCURRENCY.md, the
-  // reservation argument); shared-state writes are recorded, not applied.
+  // range; step s constructs handle arena_base + fresh + s. Everything
+  // below touches region-local state only — the helper's reserved slot in
+  // the pre-grown arena, the children's parent links, and the (existing)
+  // slot entry of the representative leaf — which is why disjoint regions
+  // can run this concurrently (docs/CONCURRENCY.md, the reservation
+  // argument); shared-state writes are recorded, not applied.
   VNodeId next = region.arena_base + static_cast<VNodeId>(region.fresh.size());
   for (const auto& step : region.steps) {
     VNodeId l = pieces[static_cast<size_t>(step.left)];
@@ -606,23 +607,14 @@ VNodeId StructuralCore::merge_region(const RegionPlan& region,
     FG_CHECK_MSG(slot->helper == kNoVNode,
                  "representative already simulates a helper");
     slot->helper = h;
-    if (effects) {
-      effects->image_edges.push_back({rep_owner, left_owner});
-      effects->image_edges.push_back({rep_owner, right_owner});
-      ++effects->helpers_created;
-    } else {
-      add_image_edge(rep_owner, left_owner);
-      add_image_edge(rep_owner, right_owner);
-      ++last_repair_.helpers_created;
-    }
+    effects->image_edges.push_back({rep_owner, left_owner});
+    effects->image_edges.push_back({rep_owner, right_owner});
+    ++effects->helpers_created;
     FG_CHECK(static_cast<int>(pieces.size()) == step.result);
     pieces.push_back(h);
   }
-  if (effects)
-    effects->root = pieces.back();
-  else
-    finish_repair(pieces.back());
-  return pieces.back();
+  effects->root = pieces.back();
+  return effects->root;
 }
 
 VNodeId StructuralCore::apply_merge_effects(const MergeEffects& effects) {
@@ -640,11 +632,6 @@ VNodeId StructuralCore::apply_merge_effects(const MergeEffects& effects) {
   last_repair_.helpers_created += effects.helpers_created;
   if (effects.root != kNoVNode) finish_repair(effects.root);
   return effects.root;
-}
-
-VNodeId StructuralCore::commit_merge(const RegionPlan& region,
-                                     std::vector<VNodeId> pieces) {
-  return merge_region(region, std::move(pieces), nullptr);
 }
 
 void StructuralCore::check_reservation_settled(const RepairPlan& plan) const {

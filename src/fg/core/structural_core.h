@@ -32,12 +32,14 @@
 //      k-way ComputeHaft merge steps. Planning never mutates the core, so
 //      disjoint regions can be planned concurrently (fg::ShardedForest);
 //      the resulting RepairPlan is a pure function of (core, victims).
-//   2. commit_break / commit_merge: apply the plan in deterministic region
-//      order — break every region, spawn its anchor leaves, tombstone the
-//      victims, then reassemble each region's pieces into one RT per
-//      region. Under CommitAlloc::kReserved (the centralized engine's
-//      default), the plan also carries a per-region *arena-id reservation*:
-//      every vnode handle the commit will allocate is fixed at plan time by
+//   2. break, then merge: apply the plan region by region — break every
+//      region, spawn its anchor leaves, tombstone the victims, then
+//      reassemble each region's pieces into one RT per region. In the
+//      centralized engine each region records its shared-state writes
+//      (BreakEffects, MergeEffects) for a stitch in region id order. Under
+//      CommitAlloc::kReserved (the centralized engine's default), the
+//      plan also carries a per-region *arena-id reservation*: every vnode
+//      handle the commit will allocate is fixed at plan time by
 //      region-order arithmetic alone, so disjoint regions may merge
 //      concurrently (merge_region) and any worker count replays
 //      byte-identical checkpoints — contract C4, strengthened from
@@ -98,7 +100,7 @@ enum class RegionSplit { kPerRegion, kGlobal };
 enum class CommitAlloc { kReserved, kOnDemand };
 
 /// Structural statistics of the most recent committed repair (one deletion
-/// or one batch). Reset by commit_break; commit_merge / join_pieces /
+/// or one batch). Reset by begin_break; apply_merge_effects / join_pieces /
 /// finish_repair update the merge-side counters. Counters sum over the
 /// wave's regions.
 struct RepairStats {
@@ -365,7 +367,9 @@ class StructuralCore {
   ///
   /// Equivalent to begin_break + break_region per region (immediate mode)
   /// + finish_break — the sequential composition of the phase-parallel
-  /// primitives below, which fg::ShardedForest fans out instead.
+  /// primitives below, which fg::ShardedForest drains over its pool in
+  /// recorded mode instead. The dist engine and the tests' sequential
+  /// references use it.
   std::vector<std::vector<VNodeId>> commit_break(const RepairPlan& plan,
                                                  RepairObserver* observer = nullptr,
                                                  CommitAlloc alloc = CommitAlloc::kReserved);
@@ -412,7 +416,7 @@ class StructuralCore {
   /// handles — while every shared-state write (image multiplicities and
   /// edges, slot-table entries, counters, forest live count) is recorded
   /// into `effects` instead of applied, so disjoint regions may run this
-  /// concurrently (fg::ShardedForest's commit pool does). With `effects`
+  /// concurrently (fg::ShardedForest::execute does). With `effects`
   /// null the side effects apply immediately — the sequential path, which
   /// also takes an observer and either CommitAlloc. Returns the region's
   /// materialized pieces, aligned with RegionPlan::pieces.
@@ -450,17 +454,14 @@ class StructuralCore {
   };
 
   /// Replay one region's planned merge steps over its materialized pieces
-  /// (from a kReserved commit_break), constructing every helper at its
-  /// reserved arena handle. With `effects` non-null, mutates only
-  /// region-local state — the region's subtree nodes and its own slot
-  /// entries — and records the shared-state side effects (image edges,
-  /// counters) into `effects` instead of applying them, so disjoint
-  /// regions of one reserved plan may run this concurrently
-  /// (fg::ShardedForest's commit pool does). With `effects` null (the
-  /// single-threaded path) the side effects apply immediately, skipping
-  /// the record/replay pass. Either mode produces the identical structure.
-  /// `pieces` is consumed as scratch and must come from commit_break.
-  /// Returns the region's final RT root (kNoVNode for no pieces).
+  /// (from a kReserved break), constructing every helper at its reserved
+  /// arena handle. Mutates only region-local state — the region's subtree
+  /// nodes and its own slot entries — and records the shared-state side
+  /// effects (image edges, counters) into `effects` (required) instead of
+  /// applying them, so disjoint regions of one reserved plan may run this
+  /// concurrently (fg::ShardedForest::execute does); apply_merge_effects
+  /// folds them in. `pieces` is consumed as scratch. Returns the region's
+  /// final RT root (kNoVNode for no pieces).
   VNodeId merge_region(const RegionPlan& region, std::vector<VNodeId>&& pieces,
                        MergeEffects* effects);
 
@@ -469,11 +470,6 @@ class StructuralCore {
   /// Single-threaded, called in region id order — the deterministic
   /// stitch. Returns the region's final RT root.
   VNodeId apply_merge_effects(const MergeEffects& effects);
-
-  /// The sequential merge of one region of a kReserved plan
-  /// (merge_region with immediate side effects). Returns the region's
-  /// final RT root (kNoVNode for a region with no pieces).
-  VNodeId commit_merge(const RegionPlan& region, std::vector<VNodeId> pieces);
 
   /// FG_CHECK that every handle of the plan's arena reservation was
   /// constructed — an undersized plan or a skipped region fails loudly

@@ -299,7 +299,7 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
   }
 
   // The deterministic ComputeHaft steps straight from the region's plan —
-  // literally the object the centralized engine's commit_merge replays,
+  // literally the object the centralized engine's merge_region replays,
   // hence the identical topology (and no second planning pass). Execution
   // is fully parallel: every helper owner knows the whole plan and links
   // its join's children without waiting.

@@ -12,11 +12,12 @@
 //
 // Every deletion runs the two-phase plan/commit pipeline: a read-only
 // RepairPlan per wave — one RegionPlan per connected dirty region, carrying
-// that region's arena-id reservation — then a commit whose break phase runs
-// in deterministic region order and whose region merges may fan out over
-// the commit pool. Both the plan side (set_shard_workers) and the commit
-// side (set_commit_workers) are schedule-independent: any worker count
-// replays byte-identical checkpoints (contract C4, docs/CONCURRENCY.md).
+// that region's arena-id reservation — then a commit that breaks and merges
+// the regions, each phase drained over one persistent worker pool and
+// stitched in region id order. Planning (set_shard_workers), breaking
+// (set_break_workers) and merging (set_commit_workers) are all
+// schedule-independent: any worker count replays byte-identical
+// checkpoints (contract C4, docs/CONCURRENCY.md).
 //
 // The invariants maintained after every insert/remove (I1-I5, checked by
 // validate()) are documented on core::StructuralCore.
@@ -81,28 +82,27 @@ class ForgivingGraph {
   }
 
   /// Commit phase only: apply a plan produced by plan_delete_batch with no
-  /// intervening mutation. Region break scripts fan out over the pool when
-  /// break_workers > 1 (deterministic BreakEffects stitch in region id
-  /// order), region merges when commit_workers > 1 — every vnode handle
+  /// intervening mutation (ShardedForest::execute). Region breaks drain
+  /// over break_workers participants and region merges over
+  /// commit_workers, each stitched in region id order — every vnode handle
   /// comes from the plan's arena-id reservation, so the result is
   /// schedule-independent (C4).
   void commit_delete_batch(const core::RepairPlan& plan);
 
-  /// Worker threads for the plan phase (1 = plan inline). Any value
-  /// produces the identical repair (contract C4).
+  /// Participants in the plan phase (1 = plan inline). Any value produces
+  /// the identical repair (contract C4).
   void set_shard_workers(int n) { shards_.set_workers(n); }
   int shard_workers() const { return shards_.workers(); }
 
-  /// Worker threads for the commit's merge phase (1 = merge inline; n > 1
-  /// keeps a persistent pool of n - 1 background threads). Any value
-  /// replays byte-identical checkpoints (contract C4 — the arena-id
-  /// reservation fixes every handle at plan time).
+  /// Participants in the commit's merge phase (1 = merge inline). The
+  /// shared pool keeps max(shard, break, commit workers) - 1 background
+  /// threads. Any value replays byte-identical checkpoints (contract C4 —
+  /// the arena-id reservation fixes every handle at plan time).
   void set_commit_workers(int n) { shards_.set_commit_workers(n); }
   int commit_workers() const { return shards_.commit_workers(); }
 
-  /// Worker threads for the commit's break phase (1 = the core's
-  /// sequential break; n > 1 fans region break scripts out over the same
-  /// persistent pool). Any value replays byte-identical checkpoints and
+  /// Participants in the commit's break phase (1 = break inline, over the
+  /// same pool). Any value replays byte-identical checkpoints and
   /// certificate bytes (contract C4 — the BreakEffects stitch applies
   /// every shared-state write in region id order).
   void set_break_workers(int n) { shards_.set_break_workers(n); }

@@ -11,21 +11,45 @@
 namespace fg {
 
 // ---------------------------------------------------------------------------
-// CommitPool.
+// WorkerPool.
 
-CommitPool::CommitPool(int background) {
+/// One run's shared state, owned jointly by the caller and every worker
+/// that picked it up, so a late waker never touches freed memory.
+struct WorkerPool::Job {
+  Job(int items, int seats, const std::function<void(int)>* fn)
+      : items(items), seats(seats), fn(fn) {}
+
+  /// Pull indices until the counter runs out. `fn` is only dereferenced
+  /// for a claimed index below `items`, i.e. while run() still waits for
+  /// that index to finish, so it never dangles.
+  void drain() {
+    for (int i = next.fetch_add(1); i < items; i = next.fetch_add(1)) {
+      (*fn)(i);
+      done.fetch_add(1, std::memory_order_release);
+    }
+  }
+
+  const int items;
+  std::atomic<int> next{0};
+  std::atomic<int> done{0};
+  /// Background threads still allowed to join (participants - 1).
+  std::atomic<int> seats;
+  const std::function<void(int)>* fn;
+};
+
+WorkerPool::WorkerPool(int background) {
   FG_CHECK_MSG(background >= 0, "negative pool size");
   threads_.reserve(static_cast<size_t>(background));
   for (int i = 0; i < background; ++i) threads_.emplace_back([this] { worker(); });
   // Startup barrier: don't return until every worker is parked on the
   // condition variable. Without it the threads' first-ever scheduling
   // lands inside whatever the caller times next — on a single-core box
-  // that bills thread startup to the first commit.
+  // that bills thread startup to the first wave.
   std::unique_lock<std::mutex> lock(mutex_);
   parked_cv_.wait(lock, [&] { return parked_ == background; });
 }
 
-CommitPool::~CommitPool() {
+WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -34,21 +58,29 @@ CommitPool::~CommitPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void CommitPool::dispatch(std::function<void()> job) {
-  if (threads_.empty()) return;
+void WorkerPool::run(int participants, int items, const std::function<void(int)>& fn) {
+  if (participants <= 1 || items <= 1 || threads_.empty()) {
+    for (int i = 0; i < items; ++i) fn(i);
+    return;
+  }
+  auto job = std::make_shared<Job>(items, participants - 1, &fn);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_ = std::move(job);
+    job_ = job;
     ++generation_;
   }
   wake_.notify_all();
+  job->drain();  // the caller participates too
+  // Wait for the work, not the threads: the release increments in drain()
+  // pair with this acquire, so every index's writes are visible on return.
+  while (job->done.load(std::memory_order_acquire) < items) std::this_thread::yield();
 }
 
-void CommitPool::worker() {
+void WorkerPool::worker() {
   uint64_t seen = 0;
   bool first = true;
   for (;;) {
-    std::function<void()> job;
+    std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (first) {
@@ -58,14 +90,12 @@ void CommitPool::worker() {
       }
       wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
-      // A worker that slept through several generations runs only the
-      // newest job: every earlier dispatch already met its completion
-      // condition before the next one was issued, so skipped jobs have no
-      // work left by construction.
+      // A worker that slept through several generations joins only the
+      // newest job: every earlier one is drained by its own caller.
       seen = generation_;
       job = job_;
     }
-    job();
+    if (job->seats.fetch_sub(1) > 0) job->drain();
   }
 }
 
@@ -75,6 +105,7 @@ void CommitPool::worker() {
 void ShardedForest::set_workers(int n) {
   FG_CHECK_MSG(n >= 1, "worker count must be at least 1");
   workers_ = n;
+  rebuild_pool();
 }
 
 void ShardedForest::set_commit_workers(int n) {
@@ -90,19 +121,16 @@ void ShardedForest::set_break_workers(int n) {
 }
 
 void ShardedForest::rebuild_pool() {
-  // One pool serves both the break and the merge fan-out; size it for the
-  // larger knob. Don't build a pool the dispatch gates below can never
-  // use: on a box with a single hardware thread, merely having extra
-  // threads switches the allocator out of its single-threaded fast path
-  // and slows the (alloc-heavy) inline commit — with zero chance of a
-  // fan-out win. Contract C4 makes the structure identical either way.
+  // One pool serves the plan, break and merge fan-outs; size it for the
+  // largest knob. Don't build threads the fan-out can never use well: on a
+  // box with a single hardware thread, merely having extra threads
+  // switches the allocator out of its single-threaded fast path and slows
+  // the (alloc-heavy) inline repair — with zero chance of a fan-out win.
+  // Contract C4 makes the structure identical either way.
   static const unsigned hw_threads = std::thread::hardware_concurrency();
-  const int n = std::max(commit_workers_, break_workers_);
+  const int n = std::max({workers_, commit_workers_, break_workers_});
   const int background = (n > 1 && hw_threads != 1) ? n - 1 : 0;
-  if (background == pool_background_ && (commit_pool_ != nullptr) == (background > 0))
-    return;
-  pool_background_ = background;
-  commit_pool_ = background > 0 ? std::make_unique<CommitPool>(background) : nullptr;
+  if (background != pool_->background()) pool_ = std::make_unique<WorkerPool>(background);
 }
 
 core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
@@ -112,27 +140,14 @@ core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
   core::DeletionAnalysis analysis = core.analyze_deletion(victims, split);
   auto t1 = std::chrono::steady_clock::now();
 
+  // Every participant writes into its own pre-sized RegionPlan slot and
+  // plan_region only reads the core, so the result is the sequential plan
+  // regardless of scheduling.
   core::RepairPlan plan;
   plan.regions.resize(analysis.seeds.size());
-  const int regions = static_cast<int>(analysis.seeds.size());
-  const int fanout = std::min(workers_, regions);
-  if (fanout <= 1) {
-    for (int r = 0; r < regions; ++r) core.plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
-  } else {
-    // Every worker pulls the next unplanned region off a shared counter and
-    // writes into its own pre-sized slot: no two threads ever touch the
-    // same RegionPlan, and plan_region only reads the core, so the result
-    // is the sequential plan regardless of scheduling.
-    std::atomic<int> next{0};
-    auto work = [&] {
-      for (int r = next.fetch_add(1); r < regions; r = next.fetch_add(1))
-        core.plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(fanout));
-    for (int t = 0; t < fanout; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
+  pool_->run(workers_, static_cast<int>(plan.regions.size()), [&](int r) {
+    core.plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
+  });
 
   core.finalize_plan(analysis, &plan);
   plan.profile.partition_ms =
@@ -143,134 +158,42 @@ core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
 std::vector<VNodeId> ShardedForest::execute(core::StructuralCore& core,
                                             const core::RepairPlan& plan) {
   const int regions = static_cast<int>(plan.regions.size());
-  std::vector<std::vector<VNodeId>> pieces;
-  // Fanning break out is, like the merge fan-out below, a pure scheduling
-  // choice: break_region in recorded mode mutates only region-local forest
-  // state, and the BreakEffects stitch replays every shared-state write in
-  // region id order — the exact sequence the sequential path applies
-  // (contract C4; docs/CONCURRENCY.md, the break-effects argument).
-  if (!commit_pool_ || break_workers_ <= 1 || regions <= 1) {
-    pieces = core.commit_break(plan);
-  } else {
-    core.begin_break(plan);
-    pieces.resize(static_cast<size_t>(regions));
-    // Grow-only scratch, same pooling discipline as the merge side.
-    std::vector<core::StructuralCore::BreakEffects>& effects = break_effects_scratch_;
-    if (effects.size() < static_cast<size_t>(regions))
-      effects.resize(static_cast<size_t>(regions));
-    // Drain-a-counter fan-out over the shared pool (see commit below for
-    // the ownership and memory-ordering story — identical here: `broken`
-    // release/acquire pairs the workers' region-local writes with the
-    // stitch).
-    struct Ctx {
-      std::atomic<int> next{0};
-      std::atomic<int> broken{0};
-    };
-    auto ctx = std::make_shared<Ctx>();
-    core::StructuralCore* core_p = &core;
-    const core::RepairPlan* plan_p = &plan;
-    auto* pieces_p = &pieces;
-    auto* effects_p = &effects;
-    auto work = [ctx, core_p, plan_p, pieces_p, effects_p, regions] {
-      for (int r = ctx->next.fetch_add(1); r < regions; r = ctx->next.fetch_add(1)) {
-        (*pieces_p)[static_cast<size_t>(r)] = core_p->break_region(
-            plan_p->regions[static_cast<size_t>(r)], &(*effects_p)[static_cast<size_t>(r)]);
-        ctx->broken.fetch_add(1, std::memory_order_release);
-      }
-    };
-    commit_pool_->dispatch(work);
-    work();  // the caller participates too
-    while (ctx->broken.load(std::memory_order_acquire) < regions)
-      std::this_thread::yield();
+  const size_t n = plan.regions.size();
+  std::vector<core::StructuralCore::BreakEffects>& break_fx = break_effects_scratch_;
+  std::vector<core::StructuralCore::MergeEffects>& merge_fx = merge_effects_scratch_;
+  if (break_fx.size() < n) break_fx.resize(n);
+  if (merge_fx.size() < n) merge_fx.resize(n);
 
-    // The deterministic stitch, then the victims die exactly as in the
-    // sequential break.
-    for (int r = 0; r < regions; ++r)
-      core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
-                               effects[static_cast<size_t>(r)]);
-    core.finish_break(plan);
-  }
-  std::vector<VNodeId> roots = commit(core, plan, std::move(pieces));
+  // Break: each region mutates only its own forest nodes and reserved
+  // handles and records its shared-state writes; the stitch replays them
+  // in region id order — the sequence commit_break applies (contract C4;
+  // docs/CONCURRENCY.md, the break-effects argument).
+  std::vector<std::vector<VNodeId>> pieces(n);
+  core.begin_break(plan);
+  pool_->run(break_workers_, regions, [&](int r) {
+    const size_t i = static_cast<size_t>(r);
+    pieces[i] = core.break_region(plan.regions[i], &break_fx[i]);
+  });
+  for (size_t i = 0; i < n; ++i) core.apply_break_effects(plan.regions[i], break_fx[i]);
+  core.finish_break(plan);
+
+  // Merge: each region builds its RT inside its reserved arena range and
+  // records its image edges and counters; the stitch folds them into the
+  // shared state in region id order. The schedule decides *who* merges a
+  // region, never *what* the merge produces (contract C4).
+  pool_->run(commit_workers_, regions, [&](int r) {
+    const size_t i = static_cast<size_t>(r);
+    core.merge_region(plan.regions[i], std::move(pieces[i]), &merge_fx[i]);
+  });
+  std::vector<VNodeId> region_roots(n, kNoVNode);
+  for (size_t i = 0; i < n; ++i) region_roots[i] = core.apply_merge_effects(merge_fx[i]);
+
+  core.check_reservation_settled(plan);
+  note_commit(plan, region_roots);
   // The wave is fully settled (reservation checked, stitch applied): let
   // the snapshot layer read the touched state's final values and emit the
   // wave's delta record (core::DeltaRecorder contract).
   if (core::DeltaRecorder* rec = core.delta_recorder()) rec->on_wave_committed(core, plan);
-  return roots;
-}
-
-std::vector<VNodeId> ShardedForest::commit(core::StructuralCore& core,
-                                           const core::RepairPlan& plan,
-                                           std::vector<std::vector<VNodeId>>&& pieces) {
-  FG_CHECK(pieces.size() == plan.regions.size());
-  const int regions = static_cast<int>(plan.regions.size());
-  std::vector<VNodeId> region_roots(static_cast<size_t>(regions), kNoVNode);
-
-  // Fanning out is a pure scheduling choice — the arena-id reservation
-  // makes the result identical either way (contract C4) — so take it only
-  // when it can pay: more than one region and a pool to run it on (none
-  // exists on single-hardware-thread boxes, see set_commit_workers).
-  // tests/arena_reservation_test.cpp drives CommitPool + merge_region
-  // directly, so the concurrent path stays TSan-covered even on machines
-  // where this gate keeps the engine inline.
-  if (!commit_pool_ || regions <= 1) {
-    // Inline: merge with immediate side effects — no record/replay pass.
-    for (int r = 0; r < regions; ++r)
-      region_roots[static_cast<size_t>(r)] =
-          core.merge_region(plan.regions[static_cast<size_t>(r)],
-                            std::move(pieces[static_cast<size_t>(r)]), nullptr);
-  } else {
-    // Reused wave to wave, grow-only: a smaller wave must not destroy the
-    // trailing slots' image_edges capacity, so a steady-state commit
-    // allocates no per-region bookkeeping (merge_region resets its slot).
-    std::vector<core::StructuralCore::MergeEffects>& effects = effects_scratch_;
-    if (effects.size() < static_cast<size_t>(regions))
-      effects.resize(static_cast<size_t>(regions));
-    // Same drain-a-counter shape as the plan side: every participant pulls
-    // the next unmerged region and builds its RT inside the region's
-    // reserved arena range. merge_region touches region-local state only
-    // and records the shared-state side effects into the region's own
-    // pre-sized MergeEffects slot, so no two participants ever write the
-    // same memory — the schedule decides *who* merges a region, never
-    // *what* the merge produces (contract C4).
-    //
-    // The counters live in a shared_ptr context owned by the job closure:
-    // a worker that wakes after this wave completed finds `next` exhausted
-    // and touches nothing else, so the caller never has to wait for
-    // threads to park — only for `merged` to reach the region count
-    // (release/acquire pairs with the stitch below reading the workers'
-    // region-local writes).
-    struct Ctx {
-      std::atomic<int> next{0};
-      std::atomic<int> merged{0};
-    };
-    auto ctx = std::make_shared<Ctx>();
-    core::StructuralCore* core_p = &core;
-    const core::RepairPlan* plan_p = &plan;
-    auto* pieces_p = &pieces;
-    auto* effects_p = &effects;
-    auto work = [ctx, core_p, plan_p, pieces_p, effects_p, regions] {
-      for (int r = ctx->next.fetch_add(1); r < regions; r = ctx->next.fetch_add(1)) {
-        core_p->merge_region(plan_p->regions[static_cast<size_t>(r)],
-                             std::move((*pieces_p)[static_cast<size_t>(r)]),
-                             &(*effects_p)[static_cast<size_t>(r)]);
-        ctx->merged.fetch_add(1, std::memory_order_release);
-      }
-    };
-    commit_pool_->dispatch(work);
-    work();  // the caller participates too
-    while (ctx->merged.load(std::memory_order_acquire) < regions)
-      std::this_thread::yield();
-
-    // The deterministic stitch: fold every region's recorded side effects
-    // (image edges, counters, final-RT bookkeeping) into the shared state
-    // in region id order — exactly the sequence the inline path applies.
-    for (int r = 0; r < regions; ++r)
-      region_roots[static_cast<size_t>(r)] =
-          core.apply_merge_effects(effects[static_cast<size_t>(r)]);
-  }
-
-  core.check_reservation_settled(plan);
-  note_commit(plan, region_roots);
   return region_roots;
 }
 

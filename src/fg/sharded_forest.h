@@ -9,19 +9,20 @@
 // independently: their plans read disjoint parts of the structure and
 // their commits build disjoint RTs.
 //
-// ShardedForest exploits that locality across the whole pipeline:
+// ShardedForest exploits that locality across the whole pipeline, with one
+// fan-out primitive (WorkerPool::run) and one commit path:
 //
 //   * Plan: it partitions a wave (core::StructuralCore::analyze_deletion),
-//     then fans the read-only per-region planning out over per-wave worker
-//     threads (set_workers).
-//   * Break: it fans the per-region break scripts out over the persistent
-//     pool (set_break_workers, execute). Each region's break mutates only
-//     its own forest nodes and reserved arena handles; every shared-state
-//     write — image-edge drops, slot-table entries, counters, the forest
-//     live count — is recorded into a region-local
+//     then drains the read-only per-region planning over the pool
+//     (set_workers).
+//   * Break: it drains the per-region break scripts over the pool
+//     (set_break_workers). Each region's break mutates only its own forest
+//     nodes and reserved arena handles; every shared-state write —
+//     image-edge drops, slot-table entries, counters, the forest live
+//     count — is recorded into a region-local
 //     core::StructuralCore::BreakEffects buffer and applied by a
 //     single-threaded stitch in region id order.
-//   * Commit: it fans the per-region merges out over the same pool
+//   * Merge: it drains the per-region merges over the same pool
 //     (set_commit_workers). This is safe because the plan carries an
 //     *arena-id reservation*: every vnode handle the commit allocates is
 //     fixed at plan time by region order alone, so concurrent merges write
@@ -29,13 +30,16 @@
 //     effects (image edges, counters) are recorded per region and applied
 //     by a final single-threaded stitch in deterministic region order.
 //
-// All three fan-outs preserve the Healer contract C4, strengthened from
-// "single-threaded commit" to "schedule-independent commit": the healed
-// structure — checkpoint bytes included — is a pure function of the input
-// partition, never of scheduling; the workers only decide *who* computes a
-// region's plan or applies its merge, never *what* it contains (pinned by
-// tests/shard_determinism_test.cpp and tests/arena_reservation_test.cpp,
-// in Release/Debug and under the TSan preset).
+// The break and merge always record and stitch — at one worker the drain
+// simply runs inline — so there is a single commit path at every worker
+// count. All three fan-outs preserve the Healer contract C4, strengthened
+// from "single-threaded commit" to "schedule-independent commit": the
+// healed structure — checkpoint bytes included — is a pure function of the
+// input partition, never of scheduling; the workers only decide *who*
+// computes a region's plan or applies its merge, never *what* it contains
+// (pinned by tests/shard_determinism_test.cpp and
+// tests/arena_reservation_test.cpp, in Release/Debug and under the TSan
+// preset).
 //
 // It also remembers, per committed wave, which region every victim and
 // every newly built RT belonged to — the assignment trace `r` lines record
@@ -57,44 +61,43 @@
 
 namespace fg {
 
-/// A persistent pool of `workers - 1` background threads for drain-style
-/// jobs: every participant (the caller included) pulls work items off a
-/// shared atomic counter inside the job closure, so participation is
-/// symmetric and completion is a property of the *work*, not the threads.
-/// Spawned once per set_commit_workers call, not per wave — a commit pays
-/// one notify, not thread creation.
+/// A persistent pool of background threads for drain-style jobs — the one
+/// fan-out primitive of the repair pipeline. Spawned once per worker-knob
+/// change, not per wave: a wave pays one notify, not thread creation.
 ///
-/// dispatch() is fire-and-forget: it hands the pool a copy of the job and
-/// wakes the threads, but never blocks on them. The caller runs the job
-/// itself and then waits only until the job's own completion condition
-/// holds (e.g. a merged-regions counter with release/acquire ordering —
-/// ShardedForest::commit below). A worker that wakes late finds the work
-/// counter exhausted and returns without touching anything but the job's
-/// shared_ptr-owned context, so a stale job is a no-op, never a dangling
-/// reference — and the caller's critical path never waits for a thread to
-/// park, which is what keeps w > 1 commits close to w = 1 even on a
-/// single-core box.
-class CommitPool {
+/// run(participants, items, fn) calls fn(i) exactly once for every i in
+/// [0, items) and returns once all of them have finished. Every
+/// participant — the caller and at most participants - 1 background
+/// threads — pulls indices off a shared atomic counter, so participation
+/// is symmetric and completion is a property of the *work*, not the
+/// threads: the caller never waits for a thread to park. The counters live
+/// in a shared_ptr-owned context; a worker that wakes after the job is done
+/// finds the counter exhausted and never calls fn, so a stale job is a
+/// no-op, never a dangling reference. Each caller drains its own job, so
+/// concurrent run calls on one pool are safe too.
+class WorkerPool {
  public:
-  explicit CommitPool(int background);
-  ~CommitPool();
+  explicit WorkerPool(int background);
+  ~WorkerPool();
 
-  CommitPool(const CommitPool&) = delete;
-  CommitPool& operator=(const CommitPool&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Hand `job` to every background thread and return immediately. The
-  /// job must be drain-style: safe to run concurrently on all threads, a
-  /// no-op once its work counter is exhausted, and owning (via shared_ptr
-  /// capture) any state a late waker could still touch.
-  void dispatch(std::function<void()> job);
+  int background() const { return static_cast<int>(threads_.size()); }
+
+  /// Run fn(0) .. fn(items - 1) and return when all have finished. Loops
+  /// inline when participants <= 1, items <= 1 or the pool has no threads.
+  /// fn must be safe to call concurrently for distinct indices.
+  void run(int participants, int items, const std::function<void(int)>& fn);
 
  private:
+  struct Job;
   void worker();
 
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable parked_cv_;
-  std::function<void()> job_;
+  std::shared_ptr<Job> job_;
   uint64_t generation_ = 0;
   int parked_ = 0;
   bool stop_ = false;
@@ -107,32 +110,31 @@ class ShardedForest {
  public:
   explicit ShardedForest(int workers = 1) { set_workers(workers); }
 
-  /// Worker threads used to plan disjoint regions concurrently: 1 plans
-  /// inline on the calling thread; n > 1 spawns up to min(n, regions)
-  /// workers per wave. Any value yields the identical plan.
+  /// Participants used to plan disjoint regions concurrently: 1 plans
+  /// inline on the calling thread. Any value yields the identical plan.
   void set_workers(int n);
   int workers() const { return workers_; }
 
-  /// Worker threads used to merge disjoint regions concurrently during
-  /// commit: 1 merges inline; n > 1 keeps a persistent pool of n - 1
-  /// background threads. Any value replays byte-identical checkpoints —
-  /// the arena-id reservation makes the commit schedule-independent
-  /// (contract C4, docs/CONCURRENCY.md).
+  /// Participants used to merge disjoint regions concurrently: 1 merges
+  /// inline. Any value replays byte-identical checkpoints — the arena-id
+  /// reservation makes the commit schedule-independent (contract C4,
+  /// docs/CONCURRENCY.md).
   void set_commit_workers(int n);
   int commit_workers() const { return commit_workers_; }
 
-  /// Worker threads used to break disjoint regions concurrently during
-  /// commit (execute): 1 breaks inline via the core's sequential path;
-  /// n > 1 fans break_region out over the persistent pool and stitches
-  /// the recorded BreakEffects in region id order. Any value replays
-  /// byte-identical checkpoints and certificate bytes (contract C4).
+  /// Participants used to break disjoint regions concurrently: 1 breaks
+  /// inline. Any value replays byte-identical checkpoints and certificate
+  /// bytes (contract C4 — the BreakEffects stitch applies every
+  /// shared-state write in region id order).
   void set_break_workers(int n);
   int break_workers() const { return break_workers_; }
 
-  /// Execute a reserved plan end to end against `core`: the break phase
-  /// (fanned out over the pool when break workers > 1, sequential
-  /// otherwise), then the merge phase via commit(). Returns each region's
-  /// final RT root, aligned with plan.regions.
+  /// Execute a reserved plan end to end against `core`: begin_break, the
+  /// region breaks drained over the pool, their BreakEffects stitch and
+  /// finish_break, then the region merges drained over the pool and their
+  /// MergeEffects stitch; verify the reservation settled and record the
+  /// shard bookkeeping. Returns each region's final RT root, aligned with
+  /// plan.regions.
   std::vector<VNodeId> execute(core::StructuralCore& core,
                                const core::RepairPlan& plan);
 
@@ -141,16 +143,6 @@ class ShardedForest {
   core::RepairPlan plan(const core::StructuralCore& core,
                         std::span<const NodeId> victims,
                         core::RegionSplit split = core::RegionSplit::kPerRegion) const;
-
-  /// Commit the merge phase of a reserved plan whose break phase already
-  /// ran (core.commit_break, kReserved): merge disjoint regions on the
-  /// commit pool, then stitch their recorded side effects single-threaded
-  /// in region id order, verify the reservation settled, and record the
-  /// shard bookkeeping. Returns each region's final RT root, aligned with
-  /// plan.regions.
-  std::vector<VNodeId> commit(core::StructuralCore& core,
-                              const core::RepairPlan& plan,
-                              std::vector<std::vector<VNodeId>>&& pieces);
 
   /// Record a committed plan: the wave's victim -> region assignment and
   /// each final RT root's region id. `region_roots` is aligned with
@@ -177,18 +169,19 @@ class ShardedForest {
   }
 
  private:
-  /// (Re)build the shared pool for max(commit, break) workers; both
-  /// setters funnel through here so one pool serves both fan-outs.
+  /// (Re)build the pool for the largest of the three knobs; every setter
+  /// funnels through here so one pool serves all three fan-outs.
   void rebuild_pool();
 
   int workers_ = 1;
   int commit_workers_ = 1;
   int break_workers_ = 1;
-  int pool_background_ = 0;
-  std::unique_ptr<CommitPool> commit_pool_;
-  /// Per-region side-effect buffers, reused across waves (scratch pooling).
-  std::vector<core::StructuralCore::MergeEffects> effects_scratch_;
+  std::unique_ptr<WorkerPool> pool_ = std::make_unique<WorkerPool>(0);
+  /// Per-region side-effect buffers, reused across waves, grow-only: a
+  /// smaller wave must not destroy the trailing slots' capacity, so a
+  /// steady-state commit allocates no per-region bookkeeping.
   std::vector<core::StructuralCore::BreakEffects> break_effects_scratch_;
+  std::vector<core::StructuralCore::MergeEffects> merge_effects_scratch_;
   /// Root -> region id of the wave that built it: sorted flat pairs,
   /// binary-searched (no hash container on the commit path).
   std::vector<std::pair<VNodeId, int>> region_of_root_;

@@ -144,8 +144,11 @@ bool get_count(Reader* r, size_t min_elem_bytes, uint64_t* out) {
 }
 
 void append_magic(std::vector<uint8_t>* out) {
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(kMagic),
-              reinterpret_cast<const uint8_t*>(kMagic) + kMagicLen);
+  // A sized resize + memcpy rather than vector::insert, which trips a GCC 12
+  // -Wstringop-overflow false positive.
+  const size_t at = out->size();
+  out->resize(at + kMagicLen);
+  std::memcpy(out->data() + at, kMagic, kMagicLen);
 }
 
 bool check_magic(Reader* r) {
@@ -395,9 +398,11 @@ bool decode_base(std::span<const uint8_t> bytes, BaseImage* out,
         // otherwise field extraction, not I/O).
         static_assert(sizeof(std::pair<uint32_t, uint32_t>) == 8);
         static_assert(std::is_standard_layout_v<std::pair<uint32_t, uint32_t>>);
+        // n == 0 leaves data() possibly null, which memcpy may not take.
         if constexpr (std::endian::native == std::endian::little) {
-          std::memcpy(static_cast<void*>(out->gprime_edges.data()),
-                      payload.data() + pr.at(), n * 8);
+          if (n > 0)
+            std::memcpy(static_cast<void*>(out->gprime_edges.data()),
+                        payload.data() + pr.at(), n * 8);
           pr.take(n * 8);
         } else {
           for (auto& [u, v] : out->gprime_edges) {
@@ -411,7 +416,7 @@ bool decode_base(std::span<const uint8_t> bytes, BaseImage* out,
         if (!get_count(&pr, 4, &n)) return set_error(error, "base: bad dead count");
         out->dead.resize(n);
         if constexpr (std::endian::native == std::endian::little) {
-          std::memcpy(out->dead.data(), payload.data() + pr.at(), n * 4);
+          if (n > 0) std::memcpy(out->dead.data(), payload.data() + pr.at(), n * 4);
           pr.take(n * 4);
         } else {
           for (uint32_t& v : out->dead) v = pr.get_u32();
@@ -431,7 +436,7 @@ bool decode_base(std::span<const uint8_t> bytes, BaseImage* out,
         out->slots.resize(n);
         static_assert(sizeof(BaseImage::SlotEntry) == 16);
         if constexpr (std::endian::native == std::endian::little) {
-          std::memcpy(out->slots.data(), payload.data() + pr.at(), n * 16);
+          if (n > 0) std::memcpy(out->slots.data(), payload.data() + pr.at(), n * 16);
           pr.take(n * 16);
         } else {
           for (BaseImage::SlotEntry& e : out->slots) {
@@ -448,7 +453,7 @@ bool decode_base(std::span<const uint8_t> bytes, BaseImage* out,
         out->mult.resize(n);
         static_assert(sizeof(BaseImage::MultEntry) == 12);
         if constexpr (std::endian::native == std::endian::little) {
-          std::memcpy(out->mult.data(), payload.data() + pr.at(), n * 12);
+          if (n > 0) std::memcpy(out->mult.data(), payload.data() + pr.at(), n * 12);
           pr.take(n * 12);
         } else {
           for (BaseImage::MultEntry& m : out->mult) {

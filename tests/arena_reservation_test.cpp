@@ -13,11 +13,8 @@
 //     (FG_CHECK) instead of silently growing or overwriting the arena.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fg/forgiving_graph.h"
@@ -132,8 +129,8 @@ TEST(ArenaReservation, PlanRangesAreContiguousDisjointAndExact) {
 TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
   // The concurrent path itself, machine-independently: the engine-level
   // fan-out gate may keep commits inline on boxes with no spare hardware
-  // threads, so this test drives CommitPool + merge_region directly — the
-  // exact shape ShardedForest::commit dispatches — and is what keeps the
+  // threads, so this test drives WorkerPool + merge_region directly — the
+  // exact shape ShardedForest::execute runs — and is what keeps the
   // parallel merge TSan-covered everywhere. Two identical cores, one wave:
   // sequential merges vs pool merges must land on identical checkpoints.
   Rng rng(293);
@@ -151,31 +148,16 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
     const int regions = static_cast<int>(plan.regions.size());
     std::vector<core::StructuralCore::MergeEffects> effects(
         static_cast<size_t>(regions));
+    auto merge = [&](int r) {
+      core.merge_region(plan.regions[static_cast<size_t>(r)],
+                        std::move(pieces[static_cast<size_t>(r)]),
+                        &effects[static_cast<size_t>(r)]);
+    };
     if (!pooled) {
-      for (int r = 0; r < regions; ++r)
-        core.merge_region(plan.regions[static_cast<size_t>(r)],
-                          std::move(pieces[static_cast<size_t>(r)]),
-                          &effects[static_cast<size_t>(r)]);
+      for (int r = 0; r < regions; ++r) merge(r);
     } else {
-      struct Ctx {
-        std::atomic<int> next{0};
-        std::atomic<int> merged{0};
-      };
-      auto ctx = std::make_shared<Ctx>();
-      auto work = [ctx, &core, &plan, &pieces, &effects, regions] {
-        for (int r = ctx->next.fetch_add(1); r < regions;
-             r = ctx->next.fetch_add(1)) {
-          core.merge_region(plan.regions[static_cast<size_t>(r)],
-                            std::move(pieces[static_cast<size_t>(r)]),
-                            &effects[static_cast<size_t>(r)]);
-          ctx->merged.fetch_add(1, std::memory_order_release);
-        }
-      };
-      CommitPool pool(3);
-      pool.dispatch(work);
-      work();
-      while (ctx->merged.load(std::memory_order_acquire) < regions)
-        std::this_thread::yield();
+      WorkerPool pool(3);
+      pool.run(4, regions, merge);
     }
     for (int r = 0; r < regions; ++r)
       core.apply_merge_effects(effects[static_cast<size_t>(r)]);

@@ -1,8 +1,8 @@
 // The parallel break fan-out (contract C4 extended to the break phase,
 // docs/CONCURRENCY.md):
 //
-//   * Concurrent break_region calls over a CommitPool — the exact shape
-//     ShardedForest::execute dispatches — must land on the byte-identical
+//   * Concurrent break_region calls over a WorkerPool — the exact shape
+//     ShardedForest::execute runs — must land on the byte-identical
 //     checkpoint the core's sequential commit_break produces. The engine-
 //     level fan-out gate may keep breaks inline on boxes with no spare
 //     hardware threads, so this suite drives the pool directly; it is what
@@ -15,11 +15,8 @@
 //     fan-out across waves and worker-count changes.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fg/forgiving_graph.h"
@@ -37,9 +34,9 @@ std::string checkpoint(const ForgivingGraph& fg) {
   return ss.str();
 }
 
-// Break every region of one wave concurrently on a CommitPool, recording
+// Break every region of one wave concurrently on a WorkerPool, recording
 // each region's side effects, then stitch in region id order — the pipeline
-// ShardedForest::execute runs when break workers > 1.
+// ShardedForest::execute runs.
 std::vector<std::vector<VNodeId>> pooled_break(core::StructuralCore& core,
                                                const core::RepairPlan& plan,
                                                int background) {
@@ -48,24 +45,11 @@ std::vector<std::vector<VNodeId>> pooled_break(core::StructuralCore& core,
   std::vector<core::StructuralCore::BreakEffects> effects(
       static_cast<size_t>(regions));
   core.begin_break(plan);
-  struct Ctx {
-    std::atomic<int> next{0};
-    std::atomic<int> broken{0};
-  };
-  auto ctx = std::make_shared<Ctx>();
-  auto work = [ctx, &core, &plan, &pieces, &effects, regions] {
-    for (int r = ctx->next.fetch_add(1); r < regions;
-         r = ctx->next.fetch_add(1)) {
-      pieces[static_cast<size_t>(r)] = core.break_region(
-          plan.regions[static_cast<size_t>(r)], &effects[static_cast<size_t>(r)]);
-      ctx->broken.fetch_add(1, std::memory_order_release);
-    }
-  };
-  CommitPool pool(background);
-  pool.dispatch(work);
-  work();
-  while (ctx->broken.load(std::memory_order_acquire) < regions)
-    std::this_thread::yield();
+  WorkerPool pool(background);
+  pool.run(background + 1, regions, [&](int r) {
+    pieces[static_cast<size_t>(r)] = core.break_region(
+        plan.regions[static_cast<size_t>(r)], &effects[static_cast<size_t>(r)]);
+  });
   for (int r = 0; r < regions; ++r)
     core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
                              effects[static_cast<size_t>(r)]);
@@ -117,8 +101,8 @@ TEST(BreakPool, ConcurrentBreakRegionsMatchSequential) {
 }
 
 TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
-  // Several waves, the concurrent core breaking each on a fresh drain-style
-  // dispatch — the stitch must keep derived state (slot tables, healed
+  // Several waves, the concurrent core breaking each on a fresh pool
+  // run — the stitch must keep derived state (slot tables, healed
   // image, live count) in lockstep so later waves plan identically.
   Rng rng(313);
   Graph g0 = make_erdos_renyi(140, 7.0 / 140, rng);
@@ -174,8 +158,8 @@ TEST(BreakPool, EngineKnobComposesWithMergeWorkersAcrossWaves) {
 }
 
 TEST(BreakPool, GlobalSplitSingleRegionBreaksInline) {
-  // A kGlobal wave has one region; the fan-out degenerates to the serial
-  // path (regions <= 1 gate) and must still be byte-identical.
+  // A kGlobal wave has one region; the fan-out runs inline (items <= 1)
+  // and must still be byte-identical.
   Rng rng(331);
   Graph g0 = make_erdos_renyi(100, 7.0 / 100, rng);
   ForgivingGraph single(g0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "fg/dist/dist_forgiving_graph.h"
 #include "graph/algorithms.h"
@@ -22,6 +23,14 @@ struct DistCase {
   int steps;
   uint64_t seed;
 };
+
+// Prints the case by value: gtest's default dumps the raw bytes, which
+// include the address of `graph` and so change from run to run, and the
+// printed value is part of each test's name under ctest.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " p_delete=" << c.p_delete << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 Graph build_graph(const std::string& kind, int n, Rng& rng) {
   if (kind == "star") return make_star(n);

@@ -8,6 +8,7 @@
 // ThreadSanitizer through the tsan preset (the concurrency satellite gate).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +47,14 @@ struct CorpusCase {
   int steps;
   uint64_t seed;
 };
+
+// Prints the case by value: gtest's default dumps the raw bytes, which
+// include the addresses of `graph` and `adversary` and so change from run
+// to run, and the printed value is part of each test's name under ctest.
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " adversary=" << c.adversary << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 class ShardDeterminism : public ::testing::TestWithParam<CorpusCase> {};
 
