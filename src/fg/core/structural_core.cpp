@@ -716,6 +716,28 @@ std::vector<VNodeId> StructuralCore::slot_roots(NodeId v) const {
   return roots;
 }
 
+snap::VRow to_vrow(const VirtualForest::VNode& n) {
+  return {n.owner, n.other, n.parent, n.left, n.right, n.rep,
+          n.height, n.leaf_count, n.is_leaf, n.alive};
+}
+
+bool from_vrow(const snap::VRow& r, VirtualForest::VNode* out) {
+  if (r.height < 0 || r.height > VirtualForest::kMaxHeight || r.leaf_count < 1 ||
+      r.leaf_count > INT32_MAX)
+    return false;
+  out->owner = r.owner;
+  out->other = r.other;
+  out->parent = r.parent;
+  out->left = r.left;
+  out->right = r.right;
+  out->rep = r.rep;
+  out->leaf_count = static_cast<int32_t>(r.leaf_count);
+  out->height = static_cast<int16_t>(r.height);
+  out->is_leaf = r.is_leaf;
+  out->alive = r.alive;
+  return true;
+}
+
 void StructuralCore::save(std::ostream& os) const {
   os << "FGv1\n";
   os << "capacity " << gprime_.node_capacity() << '\n';
@@ -740,7 +762,8 @@ namespace {
 
 /// Structural pre-validation of a deserialized arena against the processor
 /// table: every alive row must name an alive owner, an in-range far
-/// endpoint, links into alive in-range rows, and sane aggregates. Returns
+/// endpoint and links into alive in-range rows (from_vrow has already
+/// range-checked every row's aggregates). Returns
 /// an empty string when clean — the typed loaders run this before handing
 /// rows to any Graph/forest call whose FG_CHECKs would abort the process.
 template <class IsAlive>
@@ -759,8 +782,6 @@ std::string check_arena_rows(const std::vector<VirtualForest::VNode>& rows,
         return "forest row " + std::to_string(h) + ": link outside the live arena";
     if (n.rep != kNoVNode && (n.rep < 0 || n.rep >= arena))
       return "forest row " + std::to_string(h) + ": representative out of range";
-    if (n.leaf_count < 1 || n.height < 0)
-      return "forest row " + std::to_string(h) + ": non-positive aggregates";
   }
   return {};
 }
@@ -827,12 +848,15 @@ bool StructuralCore::try_load(std::istream& is, StructuralCore* out,
   std::vector<VirtualForest::VNode> arena;
   // Row-by-row growth: a truncated stream fails at its first missing row
   // instead of allocating a corrupt count's worth of arena up front.
+  // Each row is read into the wide serialized form first, so narrowing into
+  // the packed VNode follows from_vrow's range check instead of truncating.
   for (int64_t i = 0; i < arena_size; ++i) {
-    VirtualForest::VNode n;
-    if (!(is >> n.alive >> n.is_leaf >> n.owner >> n.other >> n.parent >> n.left >>
-          n.right >> n.height >> n.leaf_count >> n.rep))
+    snap::VRow r;
+    if (!(is >> r.alive >> r.is_leaf >> r.owner >> r.other >> r.parent >> r.left >>
+          r.right >> r.height >> r.leaf_count >> r.rep))
       return fail("truncated vnode row");
-    arena.push_back(n);
+    if (!from_vrow(r, &arena.emplace_back()))
+      return fail("forest row " + std::to_string(i) + ": aggregates out of range");
   }
   if (!expect("end")) return fail("missing end marker");
   if (std::string why = check_arena_rows(
@@ -891,9 +915,7 @@ void StructuralCore::to_base_image(snap::BaseImage* out) const {
   const auto& arena = forest_.dump();
   out->rows.clear();
   out->rows.reserve(arena.size());
-  for (const auto& n : arena)
-    out->rows.push_back({n.owner, n.other, n.parent, n.left, n.right, n.rep, n.height,
-                         n.leaf_count, n.is_leaf, n.alive});
+  for (const auto& n : arena) out->rows.push_back(to_vrow(n));
 
   out->slots.clear();
   for (NodeId v = 0; v < static_cast<NodeId>(procs_.size()); ++v)
@@ -973,20 +995,10 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
   }
   std::vector<VirtualForest::VNode> arena;
   arena.reserve(image.rows.size());
-  for (const snap::VRow& r : image.rows) {
-    VirtualForest::VNode n;
-    n.owner = r.owner;
-    n.other = r.other;
-    n.parent = r.parent;
-    n.left = r.left;
-    n.right = r.right;
-    n.rep = r.rep;
-    n.height = r.height;
-    n.leaf_count = r.leaf_count;
-    n.is_leaf = r.is_leaf;
-    n.alive = r.alive;
-    arena.push_back(n);
-  }
+  for (const snap::VRow& r : image.rows)
+    if (!from_vrow(r, &arena.emplace_back()))
+      return fail("forest row " + std::to_string(arena.size() - 1) +
+                  ": aggregates out of range");
   if (std::string why = check_arena_rows(
           arena, capacity,
           [&](NodeId v) { return core.procs_[static_cast<size_t>(v)].alive; });
@@ -1141,18 +1153,8 @@ bool StructuralCore::apply_wave_delta(const snap::WaveDelta& delta,
   forest_.restore_grow(arena_after);
   for (const snap::WaveDelta::Row& rec : delta.rows) {
     if (rec.handle >= delta.arena_size_after) return fail("row handle out of range");
-    const snap::VRow& r = rec.row;
     VirtualForest::VNode n;
-    n.owner = r.owner;
-    n.other = r.other;
-    n.parent = r.parent;
-    n.left = r.left;
-    n.right = r.right;
-    n.rep = r.rep;
-    n.height = r.height;
-    n.leaf_count = r.leaf_count;
-    n.is_leaf = r.is_leaf;
-    n.alive = r.alive;
+    if (!from_vrow(rec.row, &n)) return fail("row aggregates out of range");
     if (n.alive) {
       if (n.owner < 0 || n.owner >= capacity)
         return fail("row owner out of range");

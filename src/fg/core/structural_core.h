@@ -77,10 +77,19 @@
 
 namespace fg::snap {
 struct BaseImage;
+struct VRow;
 struct WaveDelta;
 }  // namespace fg::snap
 
 namespace fg::core {
+
+/// The one codec between an in-memory arena row and its serialized form
+/// (snap::VRow: the FRST and delta row, and the text checkpoint's fields).
+/// to_vrow widens. from_vrow rejects aggregates outside
+/// [0, VirtualForest::kMaxHeight] x [1, INT32_MAX] before narrowing them
+/// into the packed row, returning false and leaving *out untouched.
+snap::VRow to_vrow(const VirtualForest::VNode& n);
+bool from_vrow(const snap::VRow& r, VirtualForest::VNode* out);
 
 class StructuralCore;
 

@@ -5,25 +5,6 @@
 
 namespace fg {
 
-namespace {
-
-snap::VRow to_vrow(const VirtualForest::VNode& n) {
-  snap::VRow r;
-  r.owner = static_cast<int32_t>(n.owner);
-  r.other = static_cast<int32_t>(n.other);
-  r.parent = static_cast<int32_t>(n.parent);
-  r.left = static_cast<int32_t>(n.left);
-  r.right = static_cast<int32_t>(n.right);
-  r.rep = static_cast<int32_t>(n.rep);
-  r.height = static_cast<int32_t>(n.height);
-  r.leaf_count = n.leaf_count;
-  r.is_leaf = n.is_leaf;
-  r.alive = n.alive;
-  return r;
-}
-
-}  // namespace
-
 // ----------------------------------------------------------- SnapshotRecorder
 
 void SnapshotRecorder::begin(const core::StructuralCore& core, uint64_t waves,
@@ -102,7 +83,7 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
   slot_keys.reserve(handles.size());
   for (VNodeId h : handles) {
     const VirtualForest::VNode& row = rows[static_cast<size_t>(h)];
-    d.rows.push_back({static_cast<uint32_t>(h), to_vrow(row)});
+    d.rows.push_back({static_cast<uint32_t>(h), core::to_vrow(row)});
     // Tombstones keep (owner, other), so torn-down rows still name the slot
     // key whose entry the break cleared.
     if (row.owner != kInvalidNode) slot_keys.push_back(slot_key(row.owner, row.other));

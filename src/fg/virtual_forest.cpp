@@ -1,6 +1,7 @@
 #include "fg/virtual_forest.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/check.h"
 
@@ -12,6 +13,20 @@ namespace {
 /// keep their (real, >= 0) owner, so the two dead states never collide.
 bool is_placeholder(const VirtualForest::VNode& n) {
   return !n.alive && n.owner == kInvalidNode;
+}
+
+/// Give a new helper its children's aggregates and representative. The
+/// leaf count is summed wide and checked before it narrows into the packed
+/// row (Algorithm A.9: the rep is inherited from the right child).
+void join_children(VirtualForest::VNode* n, const VirtualForest::VNode& l,
+                   const VirtualForest::VNode& r) {
+  const int64_t leaves = int64_t{l.leaf_count} + r.leaf_count;
+  const int height = 1 + std::max<int>(l.height, r.height);
+  FG_CHECK_MSG(leaves <= INT32_MAX && height <= VirtualForest::kMaxHeight,
+               "helper aggregates overflow the packed row");
+  n->leaf_count = static_cast<int32_t>(leaves);
+  n->height = static_cast<int16_t>(height);
+  n->rep = r.rep;
 }
 
 }  // namespace
@@ -38,9 +53,7 @@ VNodeId VirtualForest::make_helper(NodeId owner, NodeId other, VNodeId left,
   n.is_leaf = false;
   n.left = left;
   n.right = right;
-  n.height = 1 + std::max(nodes_[left].height, nodes_[right].height);
-  n.leaf_count = nodes_[left].leaf_count + nodes_[right].leaf_count;
-  n.rep = nodes_[right].rep;  // Algorithm A.9: inherit the other tree's rep
+  join_children(&n, nodes_[left], nodes_[right]);
   nodes_.push_back(n);
   ++live_count_;
   auto id = static_cast<VNodeId>(nodes_.size() - 1);
@@ -87,9 +100,7 @@ VNodeId VirtualForest::make_helper_in(VNodeId h, NodeId owner, NodeId other,
   n.is_leaf = false;
   n.left = left;
   n.right = right;
-  n.height = 1 + std::max(nodes_[left].height, nodes_[right].height);
-  n.leaf_count = nodes_[left].leaf_count + nodes_[right].leaf_count;
-  n.rep = nodes_[right].rep;  // Algorithm A.9: inherit the other tree's rep
+  join_children(&n, nodes_[static_cast<size_t>(left)], nodes_[static_cast<size_t>(right)]);
   n.alive = true;
   nodes_[static_cast<size_t>(left)].parent = h;
   nodes_[static_cast<size_t>(right)].parent = h;

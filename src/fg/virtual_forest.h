@@ -48,21 +48,30 @@ constexpr uint64_t slot_key(NodeId owner, NodeId other) {
 /// Arena of virtual nodes (RT leaves and helpers).
 class VirtualForest {
  public:
+  /// One arena row, packed to 32 bytes: the arena keeps every tombstone for
+  /// good, so its footprint grows with history (docs/DESIGN.md). The
+  /// aggregates are narrow on purpose — Lemma 1 bounds an RT's height by
+  /// O(log n), and a leaf count never exceeds the G' edge slots — while
+  /// every API that sums them (piece_info, RepairStats) stays int64.
   struct VNode {
     NodeId owner = kInvalidNode;  ///< Processor simulating this node.
     NodeId other = kInvalidNode;  ///< Other endpoint of the G' edge slot.
-    bool is_leaf = true;          ///< Real node (leaf) vs helper (internal).
     VNodeId parent = kNoVNode;
     VNodeId left = kNoVNode;
     VNodeId right = kNoVNode;
-    int height = 0;
-    int64_t leaf_count = 1;
     /// Representative: the unique leaf of this subtree whose slot simulates
     /// no helper inside this subtree (leaf nodes are their own
     /// representative). Maintained incrementally per Algorithm A.9.
     VNodeId rep = kNoVNode;
+    int32_t leaf_count = 1;
+    int16_t height = 0;
+    bool is_leaf = true;  ///< Real node (leaf) vs helper (internal).
     bool alive = true;
   };
+
+  /// Largest height a row may carry: is_perfect shifts 1 by it in 64 bits.
+  /// Loaders reject rows outside [0, kMaxHeight] x [1, INT32_MAX].
+  static constexpr int kMaxHeight = 62;
 
   /// Create the real (leaf) node of edge slot (owner, other).
   VNodeId make_leaf(NodeId owner, NodeId other);
@@ -187,5 +196,8 @@ class VirtualForest {
   std::vector<VNode> nodes_;
   int live_count_ = 0;
 };
+
+static_assert(sizeof(VirtualForest::VNode) <= 32,
+              "VNode is an arena row kept for every tombstone: keep it packed");
 
 }  // namespace fg

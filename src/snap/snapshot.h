@@ -53,8 +53,9 @@ inline constexpr size_t kMagicLen = sizeof(kMagic) - 1;  // no trailing NUL
 /// for incremental use (pass the previous call's return value).
 uint32_t crc32(std::span<const uint8_t> bytes, uint32_t seed = 0);
 
-/// One virtual-forest arena row, as serialized (mirrors
-/// fg::VirtualForest::VNode field for field; -1 handles mean "none").
+/// One virtual-forest arena row, as serialized: fg::VirtualForest::VNode's
+/// fields, with the aggregates wider than the packed in-memory row
+/// (fg::core::to_vrow / from_vrow convert; -1 handles mean "none").
 struct VRow {
   int32_t owner = -1;
   int32_t other = -1;

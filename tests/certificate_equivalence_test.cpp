@@ -8,6 +8,7 @@
 // difference between engines, localized to the first differing wave.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +62,11 @@ struct CorpusCase {
   int steps;
   uint64_t seed;
 };
+
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " adversary=" << c.adversary << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 class CertificateEquivalence : public ::testing::TestWithParam<CorpusCase> {};
 

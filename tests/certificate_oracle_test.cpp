@@ -7,6 +7,7 @@
 // docs/CERTIFICATES.md).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,6 +86,11 @@ struct OracleCase {
   int steps;
   uint64_t seed;
 };
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " adversary=" << c.adversary << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 class CertificateOracle : public ::testing::TestWithParam<OracleCase> {};
 

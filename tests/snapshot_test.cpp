@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 #include <vector>
 
 #include "fg/forgiving_graph.h"
@@ -235,6 +236,29 @@ TEST(SnapshotFormat, FromBaseImageRejectsTamperedDerivedState) {
   bad.rows[alive_row].leaf_count = -3;  // structural pre-validation
   EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
 
+  // Aggregates out of range, through a CRC-valid encode: a live helper of
+  // height 70 would reach is_perfect's 64-bit shift on the next wave, and
+  // neither field may narrow into the packed row unchecked.
+  size_t helper = 0;
+  while (helper < good.rows.size() &&
+         !(good.rows[helper].alive && !good.rows[helper].is_leaf))
+    ++helper;
+  ASSERT_LT(helper, good.rows.size());
+  const snap::VRow& row = good.rows[helper];
+  const std::pair<int32_t, int64_t> out_of_range[] = {
+      {70, row.leaf_count}, {-1, row.leaf_count}, {row.height, int64_t{1} << 32},
+      {row.height, 0}};
+  for (const auto& [height, leaf_count] : out_of_range) {
+    bad = good;
+    bad.rows[helper].height = height;
+    bad.rows[helper].leaf_count = leaf_count;
+    snap::BaseImage decoded;
+    ASSERT_TRUE(snap::decode_base(snap::encode_base(bad), &decoded, &error)) << error;
+    EXPECT_FALSE(core::StructuralCore::from_base_image(decoded, &out, &error))
+        << "height " << height << " leaf_count " << leaf_count;
+    EXPECT_NE(error.find("aggregates out of range"), std::string::npos) << error;
+  }
+
   bad = good;
   bad.gprime_edges.push_back(bad.gprime_edges.back());  // duplicate G' edge
   EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
@@ -309,6 +333,16 @@ TEST(SnapshotTryLoad, RejectsMalformedCheckpointsWithTypedErrors) {
        "owner is not an alive processor"},
       {"vnode link out of arena", "vnodes 0\nend\n",
        "vnodes 1\n1 1 0 1 5 -1 -1 0 1 0\nend\n", "link outside the live arena"},
+      {"vnode height past 62", "vnodes 0\nend\n",
+       "vnodes 1\n1 1 0 1 -1 -1 -1 70 1 0\nend\n", "aggregates out of range"},
+      {"vnode height negative", "vnodes 0\nend\n",
+       "vnodes 1\n1 1 0 1 -1 -1 -1 -1 1 0\nend\n", "aggregates out of range"},
+      {"vnode height past int16", "vnodes 0\nend\n",
+       "vnodes 1\n1 1 0 1 -1 -1 -1 65536 1 0\nend\n", "aggregates out of range"},
+      {"vnode leaf count zero", "vnodes 0\nend\n",
+       "vnodes 1\n1 1 0 1 -1 -1 -1 0 0 0\nend\n", "aggregates out of range"},
+      {"vnode leaf count past int32", "vnodes 0\nend\n",
+       "vnodes 1\n1 1 0 1 -1 -1 -1 0 4294967297 0\nend\n", "aggregates out of range"},
       {"slot leaf double-booked", "vnodes 0\nend\n",
        "vnodes 2\n1 1 0 1 -1 -1 -1 0 1 0\n1 1 0 1 -1 -1 -1 0 1 1\nend\n",
        "slot leaf double-booked"},
@@ -399,6 +433,28 @@ TEST(SnapshotRoundTrip, ApplyWaveDeltaRejectsCorruptRecords) {
     ASSERT_FALSE(bad.rows.empty());
     bad.rows[0].row.left = 1 << 20;  // link outside the arena
     EXPECT_FALSE(shadow.apply_wave_delta(bad, &error));
+  }
+  {
+    // Aggregates out of range on a live row: rejected before they narrow
+    // into the packed VNode (a height of 70 would later overflow
+    // is_perfect's 64-bit shift).
+    size_t alive = 0;
+    const std::vector<snap::WaveDelta::Row>& rows = cap.deltas[0].rows;
+    while (alive < rows.size() && !rows[alive].row.alive) ++alive;
+    ASSERT_LT(alive, rows.size());
+    const snap::VRow& row = rows[alive].row;
+    const std::pair<int32_t, int64_t> out_of_range[] = {
+        {70, row.leaf_count}, {-2, row.leaf_count}, {row.height, int64_t{1} << 40},
+        {row.height, -5}};
+    for (const auto& [height, leaf_count] : out_of_range) {
+      core::StructuralCore shadow = fresh_shadow();
+      snap::WaveDelta bad = cap.deltas[0];
+      bad.rows[alive].row.height = height;
+      bad.rows[alive].row.leaf_count = leaf_count;
+      EXPECT_FALSE(shadow.apply_wave_delta(bad, &error))
+          << "height " << height << " leaf_count " << leaf_count;
+      EXPECT_NE(error.find("aggregates out of range"), std::string::npos) << error;
+    }
   }
   {
     // A delta applied against the wrong state (skipped predecessor) must
