@@ -79,10 +79,11 @@ BENCHMARK(BM_ForgivingGraphStarHub)->Arg(256)->Arg(4096)->Unit(benchmark::kMicro
 
 void BM_BreakPhase(benchmark::State& state) {
   // The break phase alone: build a star, heal the hub (one big RT over n-1
-  // pieces), plan a spoke wave, then time commit_break only — the phase PR 8
-  // made region-parallel and moved onto flat slot tables. Setup and the
-  // plan are untimed (PauseTiming); the engine is rebuilt per iteration
-  // because a break consumes its plan.
+  // pieces), plan a spoke wave, then time the break only — begin_break, the
+  // recorded break_region per region, its stitch and finish_break, inline
+  // as ShardedForest::execute runs them at one worker. Setup and the plan
+  // are untimed (PauseTiming); the engine is rebuilt per iteration because
+  // a break consumes its plan.
   const int n = static_cast<int>(state.range(0));
   constexpr int kWave = 16;
   for (auto _ : state) {
@@ -96,8 +97,14 @@ void BM_BreakPhase(benchmark::State& state) {
     for (NodeId v = 1; v <= kWave; ++v) wave.push_back(v);
     core::RepairPlan plan =
         core.plan_deletion(wave, core::RegionSplit::kPerRegion);
+    std::vector<core::StructuralCore::BreakEffects> effects(plan.regions.size());
     state.ResumeTiming();
-    benchmark::DoNotOptimize(core.commit_break(plan));
+    core.begin_break(plan);
+    for (size_t r = 0; r < plan.regions.size(); ++r)
+      benchmark::DoNotOptimize(core.break_region(plan.regions[r], &effects[r]));
+    for (size_t r = 0; r < plan.regions.size(); ++r)
+      core.apply_break_effects(plan.regions[r], effects[r]);
+    core.finish_break(plan);
   }
   state.SetItemsProcessed(state.iterations() * kWave);
 }

@@ -35,12 +35,6 @@ void StructuralCore::add_image_edge(NodeId u, NodeId v) {
   if (image_multiplicity_.increment(edge_key(u, v)) == 1) g_.add_edge(u, v);
 }
 
-void StructuralCore::remove_image_edge(NodeId u, NodeId v) {
-  if (u == v) return;
-  note_image_touch(u, v);
-  if (image_multiplicity_.decrement(edge_key(u, v)) == 0) g_.remove_edge(u, v);
-}
-
 NodeId StructuralCore::insert_node(std::span<const NodeId> neighbors) {
   ++epoch_;  // any outstanding plan is stale from here on
   NodeId id = gprime_.add_node();
@@ -312,8 +306,8 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
 
   // Explicit worklist, left child before right child before the node itself
   // — the same order as the natural recursion, so the piece sequence (and
-  // any observer's message sequence) is unchanged. Only dirty nodes and the
-  // right spines of their clean children are ever visited: a clean perfect
+  // the dist engine's message sequence) is unchanged. Only dirty nodes and
+  // the right spines of their clean children are ever visited: a clean perfect
   // subtree becomes a piece at first touch, in O(1), without being entered.
   // The recorded decisions stay valid at commit time because the commit
   // only clears links and tombstones nodes of this very script — the
@@ -352,30 +346,17 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
   }
 }
 
-std::vector<std::vector<VNodeId>> StructuralCore::commit_break(const RepairPlan& plan,
-                                                               RepairObserver* observer,
-                                                               CommitAlloc alloc) {
-  begin_break(plan, alloc);
-  std::vector<std::vector<VNodeId>> pieces(plan.regions.size());
-  for (const RegionPlan& region : plan.regions)
-    pieces[static_cast<size_t>(region.id)] = break_region(region, nullptr, observer, alloc);
-  finish_break(plan);
-  return pieces;
-}
-
-void StructuralCore::begin_break(const RepairPlan& plan, CommitAlloc alloc) {
+void StructuralCore::begin_break(const RepairPlan& plan) {
   // A stale plan — any mutation since planning, even one that left the
   // arena size unchanged (a teardown-only repair) — would replay a script
   // over state it no longer describes; fail loudly instead.
   FG_CHECK_MSG(plan.epoch == epoch_,
                "committing a stale plan: core mutated since planning");
   ++epoch_;
-  if (alloc == CommitAlloc::kReserved) {
-    FG_CHECK_MSG(plan.arena_start == forest_.arena_size(),
-                 "committing a stale plan: arena moved since planning");
-    VNodeId base = forest_.reserve_range(plan.arena_total);
-    FG_CHECK(base == plan.arena_start);
-  }
+  FG_CHECK_MSG(plan.arena_start == forest_.arena_size(),
+               "committing a stale plan: arena moved since planning");
+  VNodeId base = forest_.reserve_range(plan.arena_total);
+  FG_CHECK(base == plan.arena_start);
   last_repair_ = RepairStats{};
   last_repair_.regions = static_cast<int>(plan.regions.size());
   for (NodeId v : plan.victims) {
@@ -391,122 +372,56 @@ void StructuralCore::begin_break(const RepairPlan& plan, CommitAlloc alloc) {
 }
 
 std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
-                                                  BreakEffects* effects,
-                                                  RepairObserver* observer,
-                                                  CommitAlloc alloc) {
-  auto parent_owner_of = [&](VNodeId h) {
-    VNodeId p = forest_.node(h).parent;
-    return p == kNoVNode ? kInvalidNode : forest_.node(p).owner;
-  };
+                                                  BreakEffects* effects) {
+  // Everything mutated below is region-local — this region's own forest
+  // nodes (unlinks, uncounted tombstones) and its reserved arena handles.
+  // Shared state (multiplicity map, image graph, slot tables, counters, the
+  // forest's live count) is only ever *recorded*, which is what makes
+  // disjoint regions safe to break concurrently (docs/CONCURRENCY.md, the
+  // break-effects argument).
+  FG_CHECK_MSG(effects != nullptr, "break_region records into a BreakEffects");
+  effects->reset();
+  effects->affected_rts = static_cast<int>(region.roots.size());
+  effects->edge_drops.reserve(region.events.size() + region.fresh.size() +
+                              region.victim_edges.size());
   std::vector<VNodeId> out;
   out.reserve(region.pieces.size());
-  if (effects) {
-    // Recorded mode: everything mutated below is region-local — this
-    // region's own forest nodes (unlinks, uncounted tombstones) and its
-    // reserved arena handles. Shared state (multiplicity map, image graph,
-    // slot tables, counters, the forest's live count) is only ever
-    // *recorded*, which is what makes disjoint regions safe to break
-    // concurrently (docs/CONCURRENCY.md, the break-effects argument).
-    FG_CHECK_MSG(observer == nullptr && alloc == CommitAlloc::kReserved,
-                 "recorded break: reserved allocation only, no observer");
-    effects->reset();
-    effects->affected_rts = static_cast<int>(region.roots.size());
-    effects->edge_drops.reserve(region.events.size() + region.fresh.size() +
-                                region.victim_edges.size());
-  } else {
-    if (observer) observer->on_region_begin(region.id);
-    last_repair_.affected_rts += static_cast<int>(region.roots.size());
-    delta_scratch_.clear();
-  }
 
   // Replay the break-phase script: detach pieces, tear down dead and red
   // nodes (children always precede their parent in the script).
   for (const RegionPlan::Event& e : region.events) {
+    const auto& n = forest_.node(e.h);
+    if (n.parent != kNoVNode)
+      effects->edge_drops.push_back({n.owner, forest_.node(n.parent).owner});
     if (e.is_piece) {
-      if (effects) {
-        const auto& n = forest_.node(e.h);
-        if (n.parent != kNoVNode)
-          effects->edge_drops.push_back({n.owner, forest_.node(n.parent).owner});
-        forest_.unlink_from_parent(e.h);
-      } else {
-        if (observer)
-          observer->on_piece(e.h, forest_.node(e.h).owner, parent_owner_of(e.h));
-        detach_vnode(e.h);
-      }
+      forest_.unlink_from_parent(e.h);
       out.push_back(e.h);
     } else {
-      if (effects) {
-        const auto& n = forest_.node(e.h);
-        if (n.parent != kNoVNode)
-          effects->edge_drops.push_back({n.owner, forest_.node(n.parent).owner});
-        effects->slot_ops.push_back({n.owner, n.other, e.h, n.is_leaf, false});
-        forest_.remove_uncounted(e.h);
-        ++effects->teardowns;
-      } else {
-        if (observer)
-          observer->on_teardown(e.h, forest_.node(e.h).owner, parent_owner_of(e.h));
-        remove_vnode(e.h);
-      }
+      effects->slot_ops.push_back({n.owner, n.other, e.h, n.is_leaf, false});
+      forest_.remove_uncounted(e.h);
+      ++effects->teardowns;
     }
   }
-  if (!effects) last_repair_.helpers_removed += region.red_teardowns;
 
-  // Spawn the anchor leaves and drop the victims' surviving image edges.
-  // Under kReserved the j-th fresh leaf lands at its plan-time handle
-  // arena_base + j; the region's helpers follow in the same range. The
-  // edge drops are batched: multiplicities update inline (or at the
-  // stitch), but the 1 -> 0 transitions collect into the pooled delta
-  // buffer and flip in one apply_edge_deltas sweep per region — nothing
-  // below reads or adds image edges, so the deferral is invisible (and a
-  // hub teardown costs O(degree), not O(degree^2) sorted-list erases).
-  int fresh_at = region.arena_base;
+  // Spawn the anchor leaves: the j-th fresh leaf lands at its plan-time
+  // handle arena_base + j; the region's helpers follow in the same range.
+  // In a deletion wave f.dead is a victim still alive at this point, so its
+  // image edge to the surviving owner drops. In a recovery wave
+  // (RepairPlan::recovery) f.dead died long ago and the edge is already
+  // gone — the anchor simply re-materializes.
+  VNodeId leaf = region.arena_base;
   for (const RegionPlan::FreshLeaf& f : region.fresh) {
-    VNodeId leaf;
-    // In a deletion wave f.dead is a victim still alive at this point, so
-    // its image edge to the surviving owner drops here. In a recovery wave
-    // (RepairPlan::recovery) f.dead died long ago and the edge is already
-    // gone — the anchor simply re-materializes.
-    if (effects) {
-      if (g_.is_alive(f.dead)) effects->edge_drops.push_back({f.dead, f.owner});
-      leaf = fresh_at++;
-      forest_.make_leaf_in(leaf, f.owner, f.dead);
-      effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
-      ++effects->new_leaves;
-    } else {
-      if (g_.is_alive(f.dead)) {
-        note_image_touch(f.dead, f.owner);
-        if (image_multiplicity_.decrement(edge_key(f.dead, f.owner)) == 0)
-          delta_scratch_.push_back({f.dead, f.owner, EdgeDelta::Op::kRemove});
-      }
-      if (alloc == CommitAlloc::kReserved) {
-        leaf = fresh_at++;
-        forest_.make_leaf_in(leaf, f.owner, f.dead);
-      } else {
-        leaf = forest_.make_leaf(f.owner, f.dead);
-      }
-      SlotTable::Entry& s = slots_.ensure(f.owner, f.dead);
-      FG_CHECK(s.leaf == kNoVNode && s.helper == kNoVNode);
-      s.leaf = leaf;
-      if (observer) observer->on_piece(leaf, f.owner, kInvalidNode);
-      ++last_repair_.new_leaves;
-    }
-    out.push_back(leaf);
+    if (g_.is_alive(f.dead)) effects->edge_drops.push_back({f.dead, f.owner});
+    forest_.make_leaf_in(leaf, f.owner, f.dead);
+    effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
+    ++effects->new_leaves;
+    out.push_back(leaf++);
   }
 
-  // Edges between two victims lose their image edge here; both endpoints
+  // Edges between two victims lose their image edge too; both endpoints
   // are in this region (G'-adjacent victims always share one), and the
   // pairs were fixed at plan time (RegionPlan::victim_edges).
-  if (effects) {
-    for (const auto& [v, y] : region.victim_edges) effects->edge_drops.push_back({v, y});
-  } else {
-    for (const auto& [v, y] : region.victim_edges) {
-      note_image_touch(v, y);
-      if (image_multiplicity_.decrement(edge_key(v, y)) == 0)
-        delta_scratch_.push_back({v, y, EdgeDelta::Op::kRemove});
-    }
-    g_.apply_edge_deltas(delta_scratch_);
-    last_repair_.pieces += static_cast<int>(out.size());
-  }
+  for (const auto& [v, y] : region.victim_edges) effects->edge_drops.push_back({v, y});
 
   FG_CHECK_MSG(out.size() == region.pieces.size(),
                "committed piece set diverged from the plan");
@@ -534,8 +449,8 @@ void StructuralCore::apply_break_effects(const RegionPlan& region,
   }
   g_.apply_edge_deltas(delta_scratch_);
 
-  // Replay the slot writes in script order — identical semantics (and
-  // FG_CHECKs) to what the sequential break applies inline.
+  // Replay the slot writes in script order. A victim's own slots are
+  // cleared here too, before finish_break wipes its table wholesale.
   for (const BreakEffects::SlotOp& op : effects.slot_ops) {
     if (op.attach) {
       SlotTable::Entry& s = slots_.ensure(op.owner, op.other);
@@ -630,7 +545,8 @@ VNodeId StructuralCore::apply_merge_effects(const MergeEffects& effects) {
   }
   g_.apply_edge_deltas(delta_scratch_);
   last_repair_.helpers_created += effects.helpers_created;
-  if (effects.root != kNoVNode) finish_repair(effects.root);
+  if (effects.root != kNoVNode)
+    last_repair_.final_rt_leaves += forest_.node(effects.root).leaf_count;
   return effects.root;
 }
 
@@ -640,61 +556,11 @@ void StructuralCore::check_reservation_settled(const RepairPlan& plan) const {
                "arena reservation not fully constructed after commit");
 }
 
-void StructuralCore::detach_vnode(VNodeId h) {
-  const auto& n = forest_.node(h);
-  if (n.parent == kNoVNode) return;
-  remove_image_edge(n.owner, forest_.node(n.parent).owner);
-  forest_.unlink_from_parent(h);
-}
-
-void StructuralCore::remove_vnode(VNodeId h) {
-  const auto& n = forest_.node(h);
-  NodeId owner = n.owner;
-  NodeId other = n.other;
-  bool leaf = n.is_leaf;
-  detach_vnode(h);
-  forest_.remove(h);
-  if (!procs_[static_cast<size_t>(owner)].alive) return;  // a victim's slots are wiped wholesale
-  SlotTable::Entry* s = slots_.find(owner, other);
-  FG_CHECK(s != nullptr);
-  if (leaf) {
-    FG_CHECK(s->leaf == h);
-    s->leaf = kNoVNode;
-  } else {
-    FG_CHECK(s->helper == h);
-    s->helper = kNoVNode;
-  }
-  if (s->leaf == kNoVNode && s->helper == kNoVNode) slots_.erase(owner, other);
-}
-
 haft::PieceInfo StructuralCore::piece_info(VNodeId root) const {
   const auto& n = forest_.node(root);
   FG_CHECK(forest_.is_perfect(root));
   const auto& rep = forest_.node(n.rep);
   return {n.leaf_count, slot_key(rep.owner, rep.other)};
-}
-
-VNodeId StructuralCore::join_pieces(VNodeId left, VNodeId right) {
-  // Representative mechanism (Algorithm A.9): the left tree's representative
-  // simulates the new helper; the merged root inherits the right tree's
-  // representative. (Copy fields before make_helper: it may grow the arena.)
-  const auto& rep = forest_.node(forest_.node(left).rep);
-  NodeId rep_owner = rep.owner;
-  NodeId rep_other = rep.other;
-  NodeId left_owner = forest_.node(left).owner;
-  NodeId right_owner = forest_.node(right).owner;
-  VNodeId h = forest_.make_helper(rep_owner, rep_other, left, right);
-  SlotTable::Entry& s = slots_.ensure(rep_owner, rep_other);
-  FG_CHECK_MSG(s.helper == kNoVNode, "representative already simulates a helper");
-  s.helper = h;
-  add_image_edge(rep_owner, left_owner);
-  add_image_edge(rep_owner, right_owner);
-  ++last_repair_.helpers_created;
-  return h;
-}
-
-void StructuralCore::finish_repair(VNodeId final_root) {
-  last_repair_.final_rt_leaves += forest_.node(final_root).leaf_count;
 }
 
 int StructuralCore::helper_count(NodeId v) const {

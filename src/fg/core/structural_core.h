@@ -2,8 +2,9 @@
 //
 // Both execution engines — the centralized reference implementation
 // (fg::ForgivingGraph) and the distributed protocol
-// (fg::dist::DistForgivingGraph) — drive this single mutation path. The
-// core owns all structural state and performs every container mutation:
+// (fg::dist::DistForgivingGraph) — commit through this single mutation
+// path, fg::ShardedForest::execute. The core owns all structural state and
+// performs every container mutation:
 //
 //   * G'  — the graph of all insertions, with no deletions applied;
 //   * G   — the healed network: the homomorphic image of G' minus deleted
@@ -12,12 +13,12 @@
 //   * the virtual forest of Reconstruction Trees and the per-processor
 //     slot table (Table 1 of the paper).
 //
-// The centralized engine applies mutations directly; the distributed engine
-// installs a RepairObserver to mirror each cross-processor structural change
-// into its message-dependency DAG. Because there is exactly one code path,
-// the piece sequence — and therefore the deterministic haft::merge_plan and
-// the healed topology — cannot drift between the engines (docs/DESIGN.md
-// invariant 6).
+// The distributed engine derives its message-dependency DAG from the
+// immutable plan and read-only reads of the pre-commit forest, then commits
+// the same way the centralized engine does. Because there is exactly one
+// code path, the piece sequence, the deterministic haft::merge_plan, the
+// arena layout and therefore the healed structure cannot drift between the
+// engines (docs/DESIGN.md invariant 6).
 //
 // A deletion (or a batch of deletions) runs as a two-phase PLAN / COMMIT
 // pipeline (docs/DESIGN.md, "Plan/commit pipeline"):
@@ -34,19 +35,15 @@
 //      the resulting RepairPlan is a pure function of (core, victims).
 //   2. break, then merge: apply the plan region by region — break every
 //      region, spawn its anchor leaves, tombstone the victims, then
-//      reassemble each region's pieces into one RT per region. In the
-//      centralized engine each region records its shared-state writes
-//      (BreakEffects, MergeEffects) for a stitch in region id order. Under
-//      CommitAlloc::kReserved (the centralized engine's default), the
-//      plan also carries a per-region *arena-id reservation*: every vnode
-//      handle the commit will allocate is fixed at plan time by
-//      region-order arithmetic alone, so disjoint regions may merge
-//      concurrently (merge_region) and any worker count replays
-//      byte-identical checkpoints — contract C4, strengthened from
+//      reassemble each region's pieces into one RT per region. Each region
+//      records its shared-state writes (BreakEffects, MergeEffects) for a
+//      stitch in region id order, and the plan carries a per-region
+//      *arena-id reservation*: every vnode handle the commit will allocate
+//      is fixed at plan time by region-order arithmetic alone, so disjoint
+//      regions may break and merge concurrently and any worker count
+//      replays byte-identical checkpoints — contract C4, strengthened from
 //      "single-threaded commit" to "schedule-independent commit"
-//      (docs/CONCURRENCY.md). The distributed engine keeps the on-demand
-//      path (CommitAlloc::kOnDemand) and applies each join through
-//      join_pieces.
+//      (docs/CONCURRENCY.md).
 //
 // Invariants maintained after every insert_node / committed repair
 // (checked by validate(); numbering follows docs/DESIGN.md):
@@ -100,18 +97,9 @@ class StructuralCore;
 /// A/B measurement — bench/repair_path.cpp).
 enum class RegionSplit { kPerRegion, kGlobal };
 
-/// How a commit allocates the repair's new virtual nodes. kReserved draws
-/// every handle from the plan's arena-id reservation (fixed at plan time;
-/// required for concurrent region merges and what the centralized engine
-/// always uses); kOnDemand appends to the arena as joins happen — the
-/// distributed engine's path, whose DAG replay interleaves joins across
-/// regions and never commits concurrently.
-enum class CommitAlloc { kReserved, kOnDemand };
-
 /// Structural statistics of the most recent committed repair (one deletion
-/// or one batch). Reset by begin_break; apply_merge_effects / join_pieces /
-/// finish_repair update the merge-side counters. Counters sum over the
-/// wave's regions.
+/// or one batch). Reset by begin_break; the break and merge stitches update
+/// the counters, which sum over the wave's regions.
 struct RepairStats {
   int regions = 0;          ///< Connected dirty regions healed (RTs built).
   int affected_rts = 0;     ///< RTs broken by the deletion(s).
@@ -158,7 +146,9 @@ struct RegionPlan {
   /// pieces in event order, then the fresh leaves.
   std::vector<haft::PieceInfo> pieces;
   /// Deterministic k-way ComputeHaft steps over `pieces` (piece numbering
-  /// as in haft::merge_plan).
+  /// as in haft::merge_plan): always pieces - 1 joins, one helper each.
+  /// The distributed engine's kStageWise mode rewrites its own copy with
+  /// the BottomupRTMerge association — same numbering, same count.
   std::vector<haft::MergeStep> steps;
   /// G' edges between two victims of this region, (smaller, larger), in
   /// victim wave order: the break drops their image multiplicity with no
@@ -179,14 +169,14 @@ struct RepairPlan {
   std::vector<int> victim_region;  ///< Region id per victim, aligned above.
   std::vector<RegionPlan> regions;
   RegionSplit split = RegionSplit::kPerRegion;
-  /// The wave's arena-id reservation: a kReserved commit reserves
-  /// arena_total handles starting at arena_start (== the arena size the
+  /// The wave's arena-id reservation: the commit reserves arena_total
+  /// handles starting at arena_start (== the arena size the
   /// plan was computed against) and every region draws from its own
   /// [arena_base, arena_base + fresh + steps) sub-range. See
   /// docs/CONCURRENCY.md.
   int arena_start = -1;
   int arena_total = 0;
-  /// The core's mutation epoch the plan was computed against; commit_break
+  /// The core's mutation epoch the plan was computed against; begin_break
   /// FG_CHECKs it, so *any* intervening mutation — even one that leaves
   /// the arena size unchanged, like a teardown-only repair — makes the
   /// plan refuse to commit instead of replaying a stale script.
@@ -258,40 +248,9 @@ struct DeletionAnalysis {
   }
 };
 
-/// Hooks a protocol layer installs to mirror structural mutations. The
-/// distributed engine translates each callback into messages of its repair
-/// DAG; the centralized engine passes no observer. Callbacks fire *before*
-/// the corresponding mutation, in the deterministic left-to-right order of
-/// the repair walk, so the message sequence is itself deterministic.
-class RepairObserver {
- public:
-  virtual ~RepairObserver() = default;
-
-  /// The commit is about to apply region `region_id` (ids are the plan's
-  /// commit order); all following callbacks up to the next on_region_begin
-  /// belong to that region's independent repair.
-  virtual void on_region_begin(int region_id) { (void)region_id; }
-
-  /// A maximal clean perfect subtree rooted at `root` (owned by `owner`) is
-  /// about to detach and become the next piece (pieces are reported in
-  /// their final order). `parent_owner` is the owner of its RT parent, or
-  /// kInvalidNode for roots and for fresh anchor leaves.
-  virtual void on_piece(VNodeId root, NodeId owner, NodeId parent_owner) {
-    (void)root, (void)owner, (void)parent_owner;
-  }
-
-  /// A dead or red virtual node owned by `owner` is about to be torn down.
-  /// `parent_owner` is the owner of its current RT parent (kInvalidNode at
-  /// roots); children have already been processed.
-  virtual void on_teardown(VNodeId h, NodeId owner, NodeId parent_owner) {
-    (void)h, (void)owner, (void)parent_owner;
-  }
-};
-
 /// Hooks the snapshot layer installs to capture, per committed wave, the
-/// exact set of structural changes (docs/SNAPSHOTS.md). Unlike
-/// RepairObserver — which mirrors the repair walk event by event — the
-/// delta recorder only *accumulates touched keys*; the final values are
+/// exact set of structural changes (docs/SNAPSHOTS.md). The delta recorder
+/// only *accumulates touched keys*; the final values are
 /// read from the core when fg::ShardedForest fires on_wave_committed after
 /// the commit settles. Every callback runs on the single-threaded parts of
 /// the pipeline (insert_node, the region-id-ordered effect stitches), so a
@@ -308,8 +267,8 @@ class DeltaRecorder {
   }
 
   /// The image multiplicity of edge (u, v) is about to change (u != v).
-  /// Fired by every multiplicity funnel — add/remove_image_edge and the
-  /// batched break/merge stitches — so the accumulated key set covers
+  /// Fired by every multiplicity funnel — add_image_edge and the batched
+  /// break/merge stitches — so the accumulated key set covers
   /// every healed-image edge the wave (or an insertion) touched.
   virtual void on_image_touch(NodeId u, NodeId v) { (void)u, (void)v; }
 
@@ -323,7 +282,8 @@ class DeltaRecorder {
   }
 };
 
-/// The single structural mutation path both engines execute.
+/// The structural state and the single mutation path both engines commit
+/// through.
 class StructuralCore {
  public:
   /// Start from a connected network G0; ids 0..n-1 become live processors.
@@ -355,7 +315,7 @@ class StructuralCore {
 
   /// Fill the wave-level fields of a plan whose regions are already
   /// populated (victims, victim_region, profile sums), stamp this core's
-  /// arena size and mutation epoch (what commit_break validates against),
+  /// arena size and mutation epoch (what begin_break validates against),
   /// and assign the arena-id reservation: each region's arena_base
   /// follows by prefix sums over (fresh + steps) counts in region id
   /// order — a pure function of the plan, never of scheduling. Shared by
@@ -363,25 +323,11 @@ class StructuralCore {
   void finalize_plan(const DeletionAnalysis& analysis, RepairPlan* plan) const;
 
   // --- Commit phase (deterministic region order; see docs/CONCURRENCY.md).
-
-  /// Apply the break phase of the whole plan: per region in id order,
-  /// replay the event script (detach pieces, tear down dead and red
-  /// vnodes) and spawn the anchor leaves; then tombstone the victims.
-  /// Returns the materialized piece handles per region, aligned with
-  /// RegionPlan::pieces. Resets last_repair(). The plan must have been
-  /// produced by this core with no intervening mutation — FG_CHECKed
-  /// against the plan's mutation epoch, so a stale plan refuses to
-  /// commit. kReserved spawns each anchor leaf at its reserved handle;
-  /// kOnDemand (the dist engine) appends as before.
-  ///
-  /// Equivalent to begin_break + break_region per region (immediate mode)
-  /// + finish_break — the sequential composition of the phase-parallel
-  /// primitives below, which fg::ShardedForest drains over its pool in
-  /// recorded mode instead. The dist engine and the tests' sequential
-  /// references use it.
-  std::vector<std::vector<VNodeId>> commit_break(const RepairPlan& plan,
-                                                 RepairObserver* observer = nullptr,
-                                                 CommitAlloc alloc = CommitAlloc::kReserved);
+  //
+  // fg::ShardedForest::execute composes these: begin_break, break_region
+  // per region (concurrently), apply_break_effects per region in id order,
+  // finish_break, merge_region per region (concurrently),
+  // apply_merge_effects per region in id order, check_reservation_settled.
 
   /// The side effects of one region's break that touch state shared across
   /// regions, recorded by break_region and applied by apply_break_effects
@@ -414,24 +360,21 @@ class StructuralCore {
   };
 
   /// Validate and open the break: epoch + arena staleness checks, the one
-  /// arena growth (reserve_range, kReserved only), stats reset, per-victim
-  /// alive checks. Must precede any break_region call of the same plan.
-  void begin_break(const RepairPlan& plan, CommitAlloc alloc = CommitAlloc::kReserved);
+  /// arena growth (reserve_range of the plan's whole reservation), stats
+  /// reset, per-victim liveness checks. Must precede any break_region call
+  /// of the same plan.
+  void begin_break(const RepairPlan& plan);
 
-  /// Replay one region's break script. With `effects` non-null (requires a
-  /// begin_break'd reserved plan, no observer), mutates only region-local
-  /// state — unlinks and tombstones the region's own vnodes
-  /// (remove_uncounted) and constructs its anchor leaves at their reserved
-  /// handles — while every shared-state write (image multiplicities and
-  /// edges, slot-table entries, counters, forest live count) is recorded
-  /// into `effects` instead of applied, so disjoint regions may run this
-  /// concurrently (fg::ShardedForest::execute does). With `effects`
-  /// null the side effects apply immediately — the sequential path, which
-  /// also takes an observer and either CommitAlloc. Returns the region's
-  /// materialized pieces, aligned with RegionPlan::pieces.
-  std::vector<VNodeId> break_region(const RegionPlan& region, BreakEffects* effects,
-                                    RepairObserver* observer = nullptr,
-                                    CommitAlloc alloc = CommitAlloc::kReserved);
+  /// Replay one region's break script (detach pieces, tear down dead and
+  /// red vnodes, spawn the anchor leaves at their reserved handles).
+  /// Mutates only region-local state — unlinks and tombstones the region's
+  /// own vnodes (remove_uncounted) and constructs its anchor leaves — while
+  /// every shared-state write (image multiplicities and edges, slot-table
+  /// entries, counters, forest live count) is recorded into `effects`
+  /// (required), so disjoint regions may run this concurrently
+  /// (fg::ShardedForest::execute does). Returns the region's materialized
+  /// pieces, aligned with RegionPlan::pieces.
+  std::vector<VNodeId> break_region(const RegionPlan& region, BreakEffects* effects);
 
   /// Fold one region's recorded break effects into the shared state:
   /// multiplicity decrements (1 -> 0 transitions flip image edges in one
@@ -446,8 +389,7 @@ class StructuralCore {
 
   /// The side effects of one region's merge that touch state shared across
   /// regions, recorded by merge_region and applied by apply_merge_effects
-  /// in region id order. Buffers are reused wave to wave (the join_pieces
-  /// slot-map/scratch pooling — ROADMAP item).
+  /// in region id order. Buffers are reused wave to wave.
   struct MergeEffects {
     VNodeId root = kNoVNode;  ///< The region's final RT root (kNoVNode: no pieces).
     /// Image edges each join adds, in join order: (helper owner, left child
@@ -463,7 +405,7 @@ class StructuralCore {
   };
 
   /// Replay one region's planned merge steps over its materialized pieces
-  /// (from a kReserved break), constructing every helper at its reserved
+  /// (from break_region), constructing every helper at its reserved
   /// arena handle. Mutates only region-local state — the region's subtree
   /// nodes and its own slot entries — and records the shared-state side
   /// effects (image edges, counters) into `effects` (required) instead of
@@ -475,7 +417,7 @@ class StructuralCore {
                        MergeEffects* effects);
 
   /// Fold one region's recorded merge effects into the shared state:
-  /// image edges in join order, repair counters, final-RT bookkeeping.
+  /// image edges in join order, repair counters, the final RT's leaves.
   /// Single-threaded, called in region id order — the deterministic
   /// stitch. Returns the region's final RT root.
   VNodeId apply_merge_effects(const MergeEffects& effects);
@@ -483,23 +425,12 @@ class StructuralCore {
   /// FG_CHECK that every handle of the plan's arena reservation was
   /// constructed — an undersized plan or a skipped region fails loudly
   /// instead of leaving silent holes in the arena. Call after the last
-  /// region's merge of a kReserved commit.
+  /// region's merge.
   void check_reservation_settled(const RepairPlan& plan) const;
-
-  /// One structural join of two piece roots (Algorithm A.9): the left
-  /// tree's representative simulates the new helper; the merged root
-  /// inherits the right tree's representative. Returns the new root.
-  /// On-demand allocation — the distributed merge modes' path; the
-  /// centralized reserved commit goes through merge_region instead.
-  VNodeId join_pieces(VNodeId left, VNodeId right);
 
   /// Plan input for a piece root: leaf count plus the deterministic
   /// representative slot key (the paper's NodeID tie-break).
   haft::PieceInfo piece_info(VNodeId root) const;
-
-  /// Record a region's final RT in the stats (no-op structurally);
-  /// counters accumulate across the wave's regions.
-  void finish_repair(VNodeId final_root);
 
   const Graph& image() const { return g_; }
   const Graph& gprime() const { return gprime_; }
@@ -550,7 +481,7 @@ class StructuralCore {
   void inject_multiplicity_bump(NodeId u, NodeId v);
 
   /// Monotone counter bumped by every structural mutation (insert_node,
-  /// commit_break). Plans are stamped with it and refuse to commit if it
+  /// begin_break). Plans are stamped with it and refuse to commit if it
   /// moved — the staleness guard behind the arena-id reservation.
   uint64_t mutation_epoch() const { return epoch_; }
   const VirtualForest& forest() const { return forest_; }
@@ -624,24 +555,15 @@ class StructuralCore {
 
   static uint64_t edge_key(NodeId u, NodeId v);
   void add_image_edge(NodeId u, NodeId v);
-  void remove_image_edge(NodeId u, NodeId v);
 
   /// Tell the delta recorder (if any) that edge (u, v)'s multiplicity is
   /// about to change. Called from every multiplicity funnel, all of which
-  /// are single-threaded (sequential commit, or the region-id-ordered
-  /// stitches) — never from the concurrent recorded break/merge phases,
-  /// which only buffer.
+  /// are single-threaded (insert_node, recovery rebuilds, the
+  /// region-id-ordered stitches) — never from the concurrent recorded
+  /// break/merge phases, which only buffer.
   void note_image_touch(NodeId u, NodeId v) {
     if (recorder_ != nullptr) recorder_->on_image_touch(u, v);
   }
-
-  /// Drop the virtual edge between h and its parent from the image and
-  /// detach h (no-op on roots).
-  void detach_vnode(VNodeId h);
-
-  /// Tombstone h (children must be gone), freeing its slot registration and
-  /// its parent edge.
-  void remove_vnode(VNodeId h);
 
   /// The read-only twin of the commit walk: append the break-phase event
   /// script of the RT rooted at `root` to `out`. Iterative worklist over

@@ -31,53 +31,16 @@ void know_set(std::vector<std::pair<NodeId, int>>& know, NodeId u, int msg) {
 
 }  // namespace
 
-// Every structural mutation below happens inside core::StructuralCore — the
-// same code path the centralized engine executes, so in kGlobalPlan mode the
-// region partition, the piece order, the ComputeHaft plan, and therefore the
-// healed topology are bit-identical to fg::ForgivingGraph by construction
-// (the invariant the dist_equivalence and exhaustive_small suites pin down).
-// What this file adds is the protocol layer: a DagRecorder observer mirrors
-// each repair's structural work into a dependency DAG of messages — one
-// independent branch per dirty region — which is replayed through the
-// net::Network simulator, where all cost figures come from.
-
-// Mirrors core repair callbacks into teardown/detach messages, bucketed per
-// region. The core reports every cross-RT structural change before applying
-// it, in deterministic order, so the message sequence is deterministic too.
-class DistForgivingGraph::DagRecorder final : public core::RepairObserver {
- public:
-  explicit DagRecorder(DistForgivingGraph* d) : d_(d) {}
-
-  /// detach_msg per piece of one region, aligned with the core's per-region
-  /// piece order.
-  const std::vector<int>& detach_msgs(int region) const {
-    return detach_msgs_.at(static_cast<size_t>(region));
-  }
-
-  void on_region_begin(int region_id) override {
-    FG_CHECK(region_id == static_cast<int>(detach_msgs_.size()));
-    detach_msgs_.emplace_back();
-  }
-
-  void on_piece(VNodeId /*root*/, NodeId owner, NodeId parent_owner) override {
-    int msg = -1;
-    if (parent_owner != kInvalidNode && parent_owner != owner &&
-        !d_->is_deleting(parent_owner) && !d_->is_deleting(owner))
-      msg = d_->add_msg(parent_owner, owner, 2, {});  // "you are detached"
-    FG_CHECK_MSG(!detach_msgs_.empty(), "piece reported outside a region");
-    detach_msgs_.back().push_back(msg);
-  }
-
-  void on_teardown(VNodeId /*h*/, NodeId owner, NodeId parent_owner) override {
-    if (parent_owner != kInvalidNode && parent_owner != owner &&
-        !d_->is_deleting(owner) && !d_->is_deleting(parent_owner))
-      d_->add_msg(owner, parent_owner, 2, {});  // teardown notice to parent
-  }
-
- private:
-  DistForgivingGraph* d_;
-  std::vector<std::vector<int>> detach_msgs_;
-};
+// Every structural mutation happens in core::StructuralCore, committed
+// through fg::ShardedForest::execute — the same path, plan and arena
+// reservation the centralized engine uses, so in kGlobalPlan mode the
+// healed structure is bit-identical to fg::ForgivingGraph by construction
+// (the invariant the dist_equivalence, certificate_equivalence and
+// exhaustive_small suites pin down). What this file adds is the protocol
+// layer: before the commit, each repair's structural work is read off the
+// immutable plan and the pre-commit forest into a dependency DAG of
+// messages — one independent branch per dirty region — which is replayed
+// through the net::Network simulator, where all cost figures come from.
 
 DistForgivingGraph::DistForgivingGraph(const Graph& g0, MergeMode mode)
     : mode_(mode), core_(g0) {
@@ -160,42 +123,25 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   net_.stats().reset();
   last_cost_ = RepairCost{};
 
-  // Plan (read-only, shared core), then commit the break phase; the
-  // recorder turns each structural change into the teardown/detach
-  // messages of the repair DAG, bucketed per region.
+  // 1. Plan (read-only, shared core). The engine owns this copy: kStageWise
+  //    rewrites each region's merge steps with its own association.
   core::RepairPlan plan = core_.plan_deletion(victims, split_);
   harness::CertificateBuilder cert_builder;
   if (cert_sink_ != nullptr) cert_builder.begin_wave(core_, plan);
-  DagRecorder recorder(this);
-  // On-demand allocation: the distributed merge modes apply joins as the
-  // DAG replays, interleaving regions (and, in kStageWise, choosing a
-  // different association), so the plan's arena-id reservation does not
-  // describe this engine's allocation order. Commits here are never
-  // concurrent — determinism across delivery policies comes from the DAG,
-  // not from handle arithmetic.
-  std::vector<std::vector<VNodeId>> region_pieces =
-      core_.commit_break(plan, &recorder, core::CommitAlloc::kOnDemand);
-  const core::RepairStats& rs = core_.last_repair();
-  last_cost_.deleted_degree = rs.deleted_degree_gprime;
-  last_cost_.anchors = rs.new_leaves;
-  last_cost_.pieces = rs.pieces;
-  last_cost_.regions = static_cast<int>(plan.regions.size());
 
-  // Each region merges through its own independent DAG branch: its own
-  // coordinator, report wave, and plan knowledge. Branches share no
-  // dependencies, so when the wave's regions are disjoint the simulator
-  // counts their repairs in parallel rounds.
-  for (const core::RegionPlan& region : plan.regions) {
-    const std::vector<VNodeId>& roots = region_pieces[static_cast<size_t>(region.id)];
-    const std::vector<int>& detach = recorder.detach_msgs(region.id);
-    FG_CHECK(detach.size() == roots.size());
-    std::vector<PieceCtx> pieces;
-    pieces.reserve(roots.size());
-    for (size_t i = 0; i < roots.size(); ++i)
-      pieces.push_back(PieceCtx{roots[i], detach[i]});
-
+  // 2. The whole message DAG, before any mutation: first every region's
+  //    teardown/detach messages in commit order, then each region's merge
+  //    branch — its own coordinator, report wave, and plan knowledge.
+  //    Branches share no dependencies, so when the wave's regions are
+  //    disjoint the simulator counts their repairs in parallel rounds.
+  std::vector<std::vector<PieceCtx>> region_pieces;
+  region_pieces.reserve(plan.regions.size());
+  for (const core::RegionPlan& region : plan.regions)
+    region_pieces.push_back(break_messages(region));
+  for (core::RegionPlan& region : plan.regions) {
+    std::vector<PieceCtx>& pieces = region_pieces[static_cast<size_t>(region.id)];
     std::vector<NodeId> participants;
-    for (const PieceCtx& p : pieces) participants.push_back(piece_owner(p));
+    for (const PieceCtx& p : pieces) participants.push_back(p.owner);
     std::sort(participants.begin(), participants.end());
     participants.erase(std::unique(participants.begin(), participants.end()),
                        participants.end());
@@ -207,10 +153,18 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
     if (mode_ == MergeMode::kGlobalPlan)
       merge_global(dag, region, std::move(pieces), participants);
     else
-      merge_stage_wise(dag, std::move(pieces), participants);
+      merge_stage_wise(dag, region, std::move(pieces), participants);
   }
-
   run_dag();
+
+  // 3. Commit through the path the centralized engine uses.
+  std::vector<VNodeId> roots = shards_.execute(core_, plan);
+
+  const core::RepairStats& rs = core_.last_repair();
+  last_cost_.deleted_degree = rs.deleted_degree_gprime;
+  last_cost_.anchors = rs.new_leaves;
+  last_cost_.pieces = rs.pieces;
+  last_cost_.regions = static_cast<int>(plan.regions.size());
   const auto& s = net_.stats();
   last_cost_.messages = s.messages;
   last_cost_.words = s.words;
@@ -224,12 +178,6 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   deleting_.clear();
 
   if (cert_sink_ != nullptr) {
-    // Each region's final RT root: whatever its first committed piece now
-    // roots at (the merges only ever join pieces within a region).
-    std::vector<VNodeId> roots(plan.regions.size(), kNoVNode);
-    for (size_t r = 0; r < plan.regions.size(); ++r)
-      if (!region_pieces[r].empty())
-        roots[r] = core_.forest().root_of(region_pieces[r][0]);
     cert::CostClaim claim;
     claim.present = true;
     claim.messages = last_cost_.messages;
@@ -239,6 +187,44 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
     cert_sink_->on_certificate(cert_builder.end_wave(
         core_, plan, certified_waves_++, roots, &claim));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Break: teardown and detach messages, read off the plan's script.
+
+// A node's owner never changes, and its RT parent when the commit reaches
+// its event is its pre-commit parent: the script is post-order, so the
+// parent is torn down (if at all) only after all of its children. Hence the
+// pre-commit forest names every message's endpoints.
+std::vector<DistForgivingGraph::PieceCtx> DistForgivingGraph::break_messages(
+    const core::RegionPlan& region) {
+  const VirtualForest& forest = core_.forest();
+  std::vector<PieceCtx> pieces;
+  pieces.reserve(region.pieces.size());
+  for (const core::RegionPlan::Event& e : region.events) {
+    const auto& n = forest.node(e.h);
+    const NodeId parent_owner =
+        n.parent == kNoVNode ? kInvalidNode : forest.node(n.parent).owner;
+    const bool notify = parent_owner != kInvalidNode && parent_owner != n.owner &&
+                        !is_deleting(parent_owner) && !is_deleting(n.owner);
+    if (!e.is_piece) {
+      if (notify) add_msg(n.owner, parent_owner, 2, {});  // teardown notice to parent
+      continue;
+    }
+    // "you are detached"
+    const int detach = notify ? add_msg(parent_owner, n.owner, 2, {}) : -1;
+    const size_t i = pieces.size();
+    pieces.push_back(PieceCtx{static_cast<int>(i), n.owner, forest.node(n.rep).owner,
+                              region.pieces[i], detach});
+  }
+  // Fresh anchor leaves were never attached: no detach message.
+  for (const core::RegionPlan::FreshLeaf& f : region.fresh) {
+    const size_t i = pieces.size();
+    pieces.push_back(
+        PieceCtx{static_cast<int>(i), f.owner, f.owner, region.pieces[i], -1});
+  }
+  FG_CHECK(pieces.size() == region.pieces.size());
+  return pieces;
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +249,7 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
   std::vector<std::vector<int>> detach_by_owner(participants.size());
   std::vector<int> count_by_owner(participants.size(), 0);
   for (const PieceCtx& p : pieces) {
-    size_t o = part_idx(piece_owner(p));
+    size_t o = part_idx(p.owner);
     ++count_by_owner[o];
     if (p.detach_msg >= 0) detach_by_owner[o].push_back(p.detach_msg);
   }
@@ -278,10 +264,7 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
     dag.report_msgs.push_back(rep);
   }
 
-  if (pieces.size() == 1) {
-    core_.finish_repair(pieces.front().root);
-    return;  // single piece: nothing to merge
-  }
+  if (pieces.size() == 1) return;  // single piece: nothing to merge
 
   // Plan broadcast down the region's participant binary tree (heap
   // layout). The plan names every piece, so the message is O(pieces) words
@@ -299,16 +282,16 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
   }
 
   // The deterministic ComputeHaft steps straight from the region's plan —
-  // literally the object the centralized engine's merge_region replays,
-  // hence the identical topology (and no second planning pass). Execution
-  // is fully parallel: every helper owner knows the whole plan and links
-  // its join's children without waiting.
+  // literally the object merge_region replays at the commit, hence the
+  // identical structure (and no second planning pass). Execution is fully
+  // parallel: every helper owner knows the whole plan and links its join's
+  // children without waiting.
   for (const auto& step : region.steps) {
     const PieceCtx& l = pieces[static_cast<size_t>(step.left)];
     const PieceCtx& r = pieces[static_cast<size_t>(step.right)];
-    NodeId lo = piece_owner(l);
-    NodeId ro = piece_owner(r);
-    NodeId u = core_.forest().node(core_.forest().node(l.root).rep).owner;
+    NodeId lo = l.owner;
+    NodeId ro = r.owner;
+    NodeId u = l.rep_owner;
     if (u != dag.coordinator && know_find(dag.know, u) == nullptr) {
       // The left root's owner forwards the relevant plan excerpt to the
       // representative that must act (it is a leaf owner, not necessarily a
@@ -318,25 +301,23 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
     std::vector<int> kd = know_deps(dag, u);
     if (u != lo) add_msg(u, lo, 2, kd);
     if (u != ro) add_msg(u, ro, 2, kd);
-    PieceCtx res = join_pieces(l, r);
+    PieceCtx res = join(l, r, step.result);
     FG_CHECK(static_cast<int>(pieces.size()) == step.result);
     pieces.push_back(res);
   }
-  core_.finish_repair(pieces.back().root);
 }
 
 // ---------------------------------------------------------------------------
 // kStageWise: BottomupRTMerge — carry-merge at every aggregation stage,
-// per region.
+// per region. The association it chooses replaces the region's merge steps
+// (in the region's piece numbering), which the commit then replays.
 
-void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> pieces,
+void DistForgivingGraph::merge_stage_wise(RegionDag& dag, core::RegionPlan& region,
+                                          std::vector<PieceCtx> pieces,
                                           const std::vector<NodeId>& participants) {
   FG_CHECK(!pieces.empty());
   dag.coordinator = participants.front();
-  if (pieces.size() == 1) {
-    core_.finish_repair(pieces.front().root);
-    return;
-  }
+  if (pieces.size() == 1) return;
 
   // `participants` is sorted-unique and contains every piece owner, so a
   // binary search replaces the old member-index hash map.
@@ -349,7 +330,7 @@ void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> 
   std::vector<std::vector<PieceCtx>> lists(participants.size());
   std::vector<std::vector<int>> ready(participants.size());
   for (const PieceCtx& p : pieces) {
-    size_t i = member_idx(piece_owner(p));
+    size_t i = member_idx(p.owner);
     lists[i].push_back(p);
     if (p.detach_msg >= 0) ready[i].push_back(p.detach_msg);
   }
@@ -357,29 +338,31 @@ void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> 
   // Execute the carry plan for stage `i`; `chain` additionally runs the
   // final ascending chain (coordinator only). Orders go out to each helper
   // owner as soon as the stage's inputs are ready; the surviving roots stay
-  // in `list`.
+  // in `list`, and every join is appended to `steps` under the next piece
+  // number of the region.
+  std::vector<haft::MergeStep> steps;
+  int next = static_cast<int>(pieces.size());
   auto run_stage = [&](size_t i, bool chain) {
     std::vector<PieceCtx>& list = lists[i];
     std::vector<haft::PieceInfo> infos;
     infos.reserve(list.size());
-    for (const PieceCtx& p : list) infos.push_back(core_.piece_info(p.root));
+    for (const PieceCtx& p : list) infos.push_back(p.info);
     auto plan = chain ? haft::merge_plan(std::move(infos))
                       : haft::carry_plan(std::move(infos));
     std::vector<char> consumed(list.size() + plan.size(), 0);
     for (const auto& step : plan) {
       const PieceCtx& l = list[static_cast<size_t>(step.left)];
       const PieceCtx& r = list[static_cast<size_t>(step.right)];
-      NodeId lo = piece_owner(l);
-      NodeId ro = piece_owner(r);
-      NodeId u = core_.forest().node(core_.forest().node(l.root).rep).owner;
+      NodeId u = l.rep_owner;
       std::vector<int> deps = ready[i];
       if (u != participants[i])
         deps = {add_msg(participants[i], u, 4, ready[i])};  // join order
-      if (u != lo) add_msg(u, lo, 2, deps);
-      if (u != ro) add_msg(u, ro, 2, deps);
+      if (u != l.owner) add_msg(u, l.owner, 2, deps);
+      if (u != r.owner) add_msg(u, r.owner, 2, deps);
       consumed[static_cast<size_t>(step.left)] = 1;
       consumed[static_cast<size_t>(step.right)] = 1;
-      PieceCtx res = join_pieces(l, r);
+      PieceCtx res = join(l, r, next++);
+      steps.push_back({l.index, r.index, res.index});
       FG_CHECK(static_cast<int>(list.size()) == step.result);
       list.push_back(res);
     }
@@ -406,7 +389,11 @@ void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> 
     run_stage(ii, /*chain=*/ii == 0);
   }
   FG_CHECK(lists[0].size() == 1);
-  core_.finish_repair(lists[0].front().root);
+  // One helper per join, as in the planned merge: the arena reservation
+  // (fresh + steps per region) holds unchanged.
+  FG_CHECK_MSG(steps.size() == region.steps.size(),
+               "stage-wise association must join the region's pieces exactly once each");
+  region.steps = std::move(steps);
 }
 
 }  // namespace fg::dist

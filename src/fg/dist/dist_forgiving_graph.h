@@ -1,13 +1,13 @@
 // Distributed Forgiving Graph protocol (Sections 3-5, Lemma 4).
 //
 // The same self-healing algorithm as fg::ForgivingGraph — literally: both
-// engines drive the single structural mutation path in
-// core::StructuralCore. This class adds the protocol layer on top: every
-// repair installs a RepairObserver on the core, translates each structural
-// mutation into a message of a dependency DAG, and replays that DAG over
-// the round-synchronous simulator in net::Network with the paper's cost
-// metrics measured per repair: messages, words, rounds, largest message,
-// and per-node traffic.
+// engines plan through core::StructuralCore and commit through
+// fg::ShardedForest::execute. This class adds the protocol layer on top:
+// every repair derives a dependency DAG of messages from the immutable plan
+// and read-only reads of the pre-commit forest, replays that DAG over the
+// round-synchronous simulator in net::Network with the paper's cost
+// metrics measured per repair (messages, words, rounds, largest message,
+// per-node traffic), then commits the plan.
 //
 // Model assumptions (the paper's, Figure 1):
 //   * When processor v is deleted, every processor owning a virtual node in
@@ -42,16 +42,19 @@
 //     tree over the region's participants. Every helper owner then acts in
 //     parallel, giving O(log d + log n) rounds — within the paper's
 //     O(log d log n) budget — at the price of O(pieces)-word plan messages.
-//     Because the plan is exactly the one the centralized engine executes —
-//     over the piece sequence the shared core emits, region by region — the
-//     healed topology is bit-identical to fg::ForgivingGraph under every
-//     adversarial schedule and every delivery policy.
+//     The plan is exactly the one the centralized engine executes, and it
+//     commits through the same path, so the healed structure — arena
+//     handles and snapshot bytes included — is bit-identical to
+//     fg::ForgivingGraph under every adversarial schedule and every
+//     delivery policy.
 //   * kStageWise: the paper-faithful BottomupRTMerge. Piece lists climb the
 //     region's participant tree; at each stage equal-sized trees are joined
 //     immediately (haft::carry_plan), so every list in flight has pairwise
-//     distinct sizes and every message stays at O(log n) words. The final
-//     association may differ from the centralized engine's, but the result
-//     is the same leaf set in a valid haft, so all Theorem-1 bounds hold.
+//     distinct sizes and every message stays at O(log n) words. The
+//     association is written into the engine's copy of the region's merge
+//     steps before the commit; it may differ from the centralized engine's,
+//     but the result is the same leaf set in a valid haft, so all
+//     Theorem-1 bounds hold.
 //
 // validate() checks invariants I1-I5 through the shared core.
 #pragma once
@@ -62,6 +65,7 @@
 #include <vector>
 
 #include "fg/core/structural_core.h"
+#include "fg/sharded_forest.h"
 #include "fg/virtual_forest.h"
 #include "graph/graph.h"
 #include "haft/haft.h"
@@ -181,10 +185,16 @@ class DistForgivingGraph {
     std::vector<int> deps;
   };
 
-  /// A piece (perfect subtree) awaiting merge, with the DAG event that
-  /// detached it (-1 if it was never attached, e.g. a fresh anchor leaf).
+  /// A piece (perfect subtree) awaiting merge, as the DAG builder tracks it
+  /// before any mutation: its number in the region's merge-step numbering,
+  /// its root's owner, its representative's owner and plan input, and the
+  /// DAG event that detached it (-1 if it was never attached, e.g. a fresh
+  /// anchor leaf or a join result).
   struct PieceCtx {
-    VNodeId root = kNoVNode;
+    int index = -1;
+    NodeId owner = kInvalidNode;
+    NodeId rep_owner = kInvalidNode;
+    haft::PieceInfo info;
     int detach_msg = -1;
   };
 
@@ -203,27 +213,24 @@ class DistForgivingGraph {
     std::vector<std::pair<NodeId, int>> know;
   };
 
-  /// The core observer that mirrors the repair's structural mutations into
-  /// teardown/detach messages of the DAG, bucketed per region.
-  class DagRecorder;
-
-  NodeId piece_owner(const PieceCtx& p) const {
-    return core_.forest().node(p.root).owner;
-  }
-
-  /// Structural join through the shared core, tracked as a PieceCtx.
-  PieceCtx join_pieces(const PieceCtx& l, const PieceCtx& r) {
-    return PieceCtx{core_.join_pieces(l.root, r.root), -1};
+  /// The piece a join of `l` (left) and `r` creates as piece `index`
+  /// (Algorithm A.9): the left representative's owner simulates the new
+  /// helper, which inherits the right representative.
+  static PieceCtx join(const PieceCtx& l, const PieceCtx& r, int index) {
+    return PieceCtx{index, l.rep_owner, r.rep_owner,
+                    {l.info.leaf_count + r.info.leaf_count, r.info.key}, -1};
   }
 
   // --- DAG construction helpers (see dist_forgiving_graph.cpp).
   int add_msg(NodeId from, NodeId to, int words, std::vector<int> deps);
   bool is_deleting(NodeId v) const;
   std::vector<int> know_deps(const RegionDag& dag, NodeId u) const;
+  std::vector<PieceCtx> break_messages(const core::RegionPlan& region);
   void merge_global(RegionDag& dag, const core::RegionPlan& region,
                     std::vector<PieceCtx> pieces,
                     const std::vector<NodeId>& participants);
-  void merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> pieces,
+  void merge_stage_wise(RegionDag& dag, core::RegionPlan& region,
+                        std::vector<PieceCtx> pieces,
                         const std::vector<NodeId>& participants);
   void run_dag();
   void dispatch_msg(int i);
@@ -232,6 +239,9 @@ class DistForgivingGraph {
   MergeMode mode_ = MergeMode::kGlobalPlan;
   core::RegionSplit split_ = core::RegionSplit::kPerRegion;
   core::StructuralCore core_;
+  /// The commit path both engines share, at one worker: this engine's
+  /// parallelism is the protocol's, measured in rounds.
+  ShardedForest shards_;
 
   net::Network net_;
   RepairCost last_cost_;

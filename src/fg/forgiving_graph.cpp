@@ -8,13 +8,12 @@
 namespace fg {
 
 void ForgivingGraph::commit_delete_batch(const core::RepairPlan& plan) {
-  // The core performs the whole structural repair as one atomic step (no
-  // observer — there is no protocol layer to mirror the mutations into).
-  // Both commit phases draw every vnode from the plan's arena-id
-  // reservation, so the shard layer may fan the break scripts *and* the
-  // region merges out over its pool and still land on the byte-identical
-  // checkpoint and certificate bytes at any worker count (contract C4,
-  // docs/CONCURRENCY.md).
+  // The core performs the whole structural repair as one atomic step, on
+  // the commit path the distributed engine shares. Both commit phases draw
+  // every vnode from the plan's arena-id reservation, so the shard layer
+  // may fan the break scripts *and* the region merges out over its pool
+  // and still land on the byte-identical checkpoint and certificate bytes
+  // at any worker count (contract C4, docs/CONCURRENCY.md).
   harness::CertificateBuilder builder;
   if (cert_sink_ != nullptr) builder.begin_wave(core_, plan);
   std::vector<VNodeId> roots = shards_.execute(core_, plan);

@@ -166,8 +166,8 @@ std::vector<VNodeId> ShardedForest::execute(core::StructuralCore& core,
 
   // Break: each region mutates only its own forest nodes and reserved
   // handles and records its shared-state writes; the stitch replays them
-  // in region id order — the sequence commit_break applies (contract C4;
-  // docs/CONCURRENCY.md, the break-effects argument).
+  // in region id order (contract C4; docs/CONCURRENCY.md, the
+  // break-effects argument).
   std::vector<std::vector<VNodeId>> pieces(n);
   core.begin_break(plan);
   pool_->run(break_workers_, regions, [&](int r) {

@@ -134,7 +134,8 @@ class ShardedForest {
   /// finish_break, then the region merges drained over the pool and their
   /// MergeEffects stitch; verify the reservation settled and record the
   /// shard bookkeeping. Returns each region's final RT root, aligned with
-  /// plan.regions.
+  /// plan.regions. The one commit path of both engines (the distributed
+  /// engine runs it at one worker).
   std::vector<VNodeId> execute(core::StructuralCore& core,
                                const core::RepairPlan& plan);
 

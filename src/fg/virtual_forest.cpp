@@ -31,37 +31,6 @@ void join_children(VirtualForest::VNode* n, const VirtualForest::VNode& l,
 
 }  // namespace
 
-VNodeId VirtualForest::make_leaf(NodeId owner, NodeId other) {
-  VNode n;
-  n.owner = owner;
-  n.other = other;
-  n.is_leaf = true;
-  nodes_.push_back(n);
-  ++live_count_;
-  auto id = static_cast<VNodeId>(nodes_.size() - 1);
-  nodes_.back().rep = id;  // a real node is its own representative
-  return id;
-}
-
-VNodeId VirtualForest::make_helper(NodeId owner, NodeId other, VNodeId left,
-                                   VNodeId right) {
-  FG_CHECK(exists(left) && exists(right));
-  FG_CHECK_MSG(is_root(left) && is_root(right), "helper children must be roots");
-  VNode n;
-  n.owner = owner;
-  n.other = other;
-  n.is_leaf = false;
-  n.left = left;
-  n.right = right;
-  join_children(&n, nodes_[left], nodes_[right]);
-  nodes_.push_back(n);
-  ++live_count_;
-  auto id = static_cast<VNodeId>(nodes_.size() - 1);
-  nodes_[left].parent = id;
-  nodes_[right].parent = id;
-  return id;
-}
-
 VNodeId VirtualForest::reserve_range(int count) {
   FG_CHECK_MSG(count >= 0, "negative reservation");
   auto base = static_cast<VNodeId>(nodes_.size());
@@ -122,11 +91,6 @@ void VirtualForest::unlink_from_parent(VNodeId child) {
   if (nodes_[p].left == child) nodes_[p].left = kNoVNode;
   if (nodes_[p].right == child) nodes_[p].right = kNoVNode;
   nodes_[child].parent = kNoVNode;
-}
-
-void VirtualForest::remove(VNodeId h) {
-  remove_uncounted(h);
-  --live_count_;
 }
 
 void VirtualForest::remove_uncounted(VNodeId h) {

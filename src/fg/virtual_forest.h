@@ -18,7 +18,7 @@
 //       aggregates of the subtree.
 //   V2. Every subtree satisfies the haft property: the left child of an
 //       internal node is perfect and at least as leafy as the right child.
-//   V3. `rep` of an internal node is a leaf of its subtree; make_helper
+//   V3. `rep` of an internal node is a leaf of its subtree; make_helper_in
 //       installs the left child's rep as the new helper's simulator and
 //       propagates the right child's rep upward (Algorithm A.9), keeping
 //       each (owner, other) slot to at most one helper forest-wide.
@@ -73,14 +73,6 @@ class VirtualForest {
   /// Loaders reject rows outside [0, kMaxHeight] x [1, INT32_MAX].
   static constexpr int kMaxHeight = 62;
 
-  /// Create the real (leaf) node of edge slot (owner, other).
-  VNodeId make_leaf(NodeId owner, NodeId other);
-
-  /// Create a helper in slot (owner, other) joining two roots; left becomes
-  /// the left child. Representative is inherited from the right child
-  /// (Algorithm A.9). Returns the new node.
-  VNodeId make_helper(NodeId owner, NodeId other, VNodeId left, VNodeId right);
-
   // --- Reservation-aware allocation (docs/CONCURRENCY.md). ----------------
   //
   // A reserved commit pre-computes, at plan time, exactly how many vnodes a
@@ -106,11 +98,13 @@ class VirtualForest {
   /// can never silently grow or overwrite the arena.
   void make_leaf_in(VNodeId h, NodeId owner, NodeId other);
 
-  /// Construct a helper into the reserved handle `h` (same semantics as
-  /// make_helper otherwise). Safe to call concurrently with other
-  /// make_*_in calls on *disjoint* handles/subtrees: it writes only the
-  /// reserved node and its two children's parent links, and the arena
-  /// storage is pre-grown by reserve_range.
+  /// Construct a helper in slot (owner, other) into the reserved handle
+  /// `h`, joining two roots; left becomes the left child. Representative
+  /// is inherited from the right child (Algorithm A.9). Safe to call
+  /// concurrently with other make_*_in calls on *disjoint*
+  /// handles/subtrees: it writes only the reserved node and its two
+  /// children's parent links, and the arena storage is pre-grown by
+  /// reserve_range.
   VNodeId make_helper_in(VNodeId h, NodeId owner, NodeId other, VNodeId left,
                          VNodeId right);
 
@@ -121,18 +115,16 @@ class VirtualForest {
   /// Detach `child` from its parent (both links cleared).
   void unlink_from_parent(VNodeId child);
 
-  /// Tombstone a node. It must have no child links left; it is unlinked
-  /// from its parent first.
-  void remove(VNodeId h);
-
-  /// remove() without touching live_count(). A concurrent break region
-  /// tombstones its own red-teardown helpers with this and reports the
-  /// count through its BreakEffects buffer; the single-threaded stitch
-  /// settles the shared scalar via credit_removals — the same discipline
-  /// reserve_range uses on the allocation side (contract C4).
+  /// Tombstone a node without touching live_count(). It must have no
+  /// child links left; it is unlinked from its parent first. A concurrent
+  /// break region tombstones its own dead and red vnodes with this and
+  /// reports the count through its BreakEffects buffer; the
+  /// single-threaded stitch settles the shared scalar via credit_removals —
+  /// the same discipline reserve_range uses on the allocation side
+  /// (contract C4).
   void remove_uncounted(VNodeId h);
 
-  /// Debit live_count() by `count` deferred remove_uncounted() calls.
+  /// Debit live_count() by `count` remove_uncounted() calls.
   void credit_removals(int count);
 
   const VNode& node(VNodeId h) const;

@@ -80,8 +80,8 @@ cert::WaveCertificate CertificateBuilder::end_wave(
   c.assign = plan.victim_region;
 
   // Region witnesses: each final RT in preorder, handles normalized to
-  // local indices — identical across the centralized (reserved) and
-  // distributed (on-demand) arenas, because only the tree shape survives.
+  // local indices — only the tree shape survives, never an arena position,
+  // so a checker needs no knowledge of the engine's arena.
   std::map<std::pair<NodeId, NodeId>, int> edge_region;
   for (size_t r = 0; r < plan.regions.size(); ++r) {
     const core::RegionPlan& region = plan.regions[r];

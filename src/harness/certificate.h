@@ -7,17 +7,17 @@
 // down what the repair claims to have done, in the normalized form the
 // checker re-validates from first principles:
 //
-//   * begin_wave runs against the PLAN, before commit_break: it snapshots
+//   * begin_wave runs against the PLAN, before the commit: it snapshots
 //     deg_G of the wave's affected set — the owners of every vnode in an
 //     affected RT subtree plus the anchor owners (the only processors whose
 //     healed degree a repair can change);
 //   * end_wave runs after the commit: it walks each region's final RT in
 //     preorder (normalizing vnode handles to local indices, so the witness
-//     is identical across the centralized kReserved and distributed
-//     kOnDemand arenas), derives the image edges, fills the degree
-//     before/after claims, samples stretch pairs with explicit witness
-//     paths and per-hop edge provenance, and attaches the distributed
-//     engine's Lemma-4 cost claim when one is given.
+//     names the tree shape, never an arena position), derives the image
+//     edges, fills the degree before/after claims, samples stretch pairs
+//     with explicit witness paths and per-hop edge provenance, and
+//     attaches the distributed engine's Lemma-4 cost claim when one is
+//     given.
 //
 // Everything emitted is a pure function of (core state, plan, committed
 // roots): no iteration order depends on scheduling, hash functions, or

@@ -19,6 +19,7 @@
 
 #include "fg/forgiving_graph.h"
 #include "fg/sharded_forest.h"
+#include "fg/stabilizer.h"
 #include "fg/virtual_forest.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -144,8 +145,18 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
 
   auto run = [&](core::StructuralCore& core, bool pooled) {
     core::RepairPlan plan = core.plan_deletion(alive);
-    auto pieces = core.commit_break(plan);
     const int regions = static_cast<int>(plan.regions.size());
+    std::vector<std::vector<VNodeId>> pieces(static_cast<size_t>(regions));
+    std::vector<core::StructuralCore::BreakEffects> break_fx(
+        static_cast<size_t>(regions));
+    core.begin_break(plan);
+    for (int r = 0; r < regions; ++r)
+      pieces[static_cast<size_t>(r)] = core.break_region(
+          plan.regions[static_cast<size_t>(r)], &break_fx[static_cast<size_t>(r)]);
+    for (int r = 0; r < regions; ++r)
+      core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
+                               break_fx[static_cast<size_t>(r)]);
+    core.finish_break(plan);
     std::vector<core::StructuralCore::MergeEffects> effects(
         static_cast<size_t>(regions));
     auto merge = [&](int r) {
@@ -173,6 +184,7 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
   EXPECT_EQ(a.str(), b.str());
   sequential.validate();
   concurrent.validate();
+  EXPECT_TRUE(audit(concurrent).clean()) << audit(concurrent).summary();
 }
 
 TEST(ArenaReservation, CommitPoolPersistsAcrossWaves) {
@@ -229,9 +241,11 @@ TEST(ReservationGuardsDeathTest, ConstructingTwiceIntoOneHandleDies) {
 
 TEST(ReservationGuardsDeathTest, ConstructingIntoALiveHandleDies) {
   VirtualForest forest;
-  VNodeId leaf = forest.make_leaf(0, 1);
-  EXPECT_DEATH(forest.make_helper_in(leaf, 0, 2, forest.make_leaf(2, 0),
-                                     forest.make_leaf(3, 0)),
+  VNodeId leaf = forest.reserve_range(3);
+  forest.make_leaf_in(leaf, 0, 1);
+  forest.make_leaf_in(leaf + 1, 2, 0);
+  forest.make_leaf_in(leaf + 2, 3, 0);
+  EXPECT_DEATH(forest.make_helper_in(leaf, 0, 2, leaf + 1, leaf + 2),
                "not an unconstructed reservation");
 }
 

@@ -3,14 +3,16 @@
 //
 //   * Concurrent break_region calls over a WorkerPool — the exact shape
 //     ShardedForest::execute runs — must land on the byte-identical
-//     checkpoint the core's sequential commit_break produces. The engine-
-//     level fan-out gate may keep breaks inline on boxes with no spare
-//     hardware threads, so this suite drives the pool directly; it is what
-//     keeps the parallel break TSan-covered everywhere (the tsan/asan
-//     preset filters include BreakPool).
-//   * The BreakEffects stitch is deterministic: region-local buffers
-//     applied in region id order replay the serial break's shared-state
-//     writes exactly — image-edge drops, slot ops, counters, live count.
+//     checkpoint the same breaks produce inline on the calling thread. The
+//     engine-level fan-out gate may keep breaks inline on boxes with no
+//     spare hardware threads, so this suite drives the pool directly; it
+//     is what keeps the parallel break TSan-covered everywhere (the
+//     tsan/asan preset filters include BreakPool).
+//   * The BreakEffects stitch is correct, not just deterministic: after
+//     region-local buffers are applied in region id order, validate()
+//     rebuilds I1-I5 from ground truth and fg::audit recomputes every
+//     image multiplicity — a dropped image-edge drop or slot op fails
+//     both.
 //   * The engine-level knob (set_break_workers) composes with the merge
 //     fan-out across waves and worker-count changes.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 
 #include "fg/forgiving_graph.h"
 #include "fg/sharded_forest.h"
+#include "fg/stabilizer.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -34,9 +37,9 @@ std::string checkpoint(const ForgivingGraph& fg) {
   return ss.str();
 }
 
-// Break every region of one wave concurrently on a WorkerPool, recording
-// each region's side effects, then stitch in region id order — the pipeline
-// ShardedForest::execute runs.
+// Break every region of one wave on a WorkerPool with `background` threads
+// (0: inline on the calling thread), recording each region's side effects,
+// then stitch in region id order — the pipeline ShardedForest::execute runs.
 std::vector<std::vector<VNodeId>> pooled_break(core::StructuralCore& core,
                                                const core::RepairPlan& plan,
                                                int background) {
@@ -57,7 +60,7 @@ std::vector<std::vector<VNodeId>> pooled_break(core::StructuralCore& core,
   return pieces;
 }
 
-// Finish the wave (sequential merges) so the cores are comparable as full
+// Finish the wave (in-order merges) so the cores are comparable as full
 // checkpoints, not just mid-repair state.
 void finish_merge(core::StructuralCore& core, const core::RepairPlan& plan,
                   std::vector<std::vector<VNodeId>> pieces) {
@@ -85,7 +88,7 @@ TEST(BreakPool, ConcurrentBreakRegionsMatchSequential) {
 
   {
     core::RepairPlan plan = sequential.plan_deletion(alive);
-    finish_merge(sequential, plan, sequential.commit_break(plan));
+    finish_merge(sequential, plan, pooled_break(sequential, plan, 0));
   }
   {
     core::RepairPlan plan = concurrent.plan_deletion(alive);
@@ -98,6 +101,7 @@ TEST(BreakPool, ConcurrentBreakRegionsMatchSequential) {
   EXPECT_EQ(a.str(), b.str());
   sequential.validate();
   concurrent.validate();
+  EXPECT_TRUE(audit(concurrent).clean()) << audit(concurrent).summary();
 }
 
 TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
@@ -116,7 +120,7 @@ TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
     alive.resize(6);
     {
       core::RepairPlan plan = sequential.plan_deletion(alive);
-      finish_merge(sequential, plan, sequential.commit_break(plan));
+      finish_merge(sequential, plan, pooled_break(sequential, plan, 0));
     }
     {
       core::RepairPlan plan = concurrent.plan_deletion(alive);
@@ -126,6 +130,8 @@ TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
     sequential.save(a);
     concurrent.save(b);
     ASSERT_EQ(a.str(), b.str()) << "wave " << wave;
+    const AuditReport report = audit(concurrent);
+    ASSERT_TRUE(report.clean()) << "wave " << wave << ": " << report.summary();
   }
   sequential.validate();
   concurrent.validate();

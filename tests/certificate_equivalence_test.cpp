@@ -5,9 +5,14 @@
 // certificate layer normalizes every engine-private detail away (arena
 // handles become preorder-local indices, the dist cost line is excluded by
 // structural_text()), so any divergence here is a real topology
-// difference between engines, localized to the first differing wave.
+// difference between engines, localized to the first differing wave. At the
+// end of each trace the dist engine's whole structure must also match the
+// centralized engine's byte for byte: both commit the same plan through
+// the same path, so even the arena handles agree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -21,6 +26,7 @@
 #include "harness/certificate.h"
 #include "harness/trace.h"
 #include "heal/healer.h"
+#include "snap/snapshot.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -53,6 +59,13 @@ void expect_same_waves(const std::vector<std::string>& ref,
   for (size_t w = 0; w < ref.size(); ++w) {
     ASSERT_EQ(ref[w], got[w]) << label << ": first divergence at wave " << w;
   }
+}
+
+/// The canonical encoding of a core's whole structure (docs/SNAPSHOTS.md).
+std::vector<uint8_t> base_bytes(const core::StructuralCore& core) {
+  snap::BaseImage image;
+  core.to_base_image(&image);
+  return snap::encode_base(image);
 }
 
 struct CorpusCase {
@@ -126,8 +139,17 @@ TEST_P(CertificateEquivalence, ThreeEnginesEmitIdenticalCertificates) {
     expect_same_waves(ref_waves, waves_of(got),
                       std::string(c.graph) + "/" + c.adversary + " dist kGlobalPlan");
     // The dist stream carries cost claims the others cannot know; that is
-    // the ONLY difference — full save() bytes differ, structural do not.
+    // the ONLY difference. The base images are compared byte for byte — a
+    // CRC over a whole image cannot see its content (docs/SNAPSHOTS.md).
     for (const cert::WaveCertificate& w : got.certs) EXPECT_TRUE(w.cost.present);
+    const std::vector<uint8_t> want = base_bytes(recorded.engine().core());
+    const std::vector<uint8_t> have = base_bytes(net.core());
+    const auto common = static_cast<std::ptrdiff_t>(std::min(want.size(), have.size()));
+    const auto diff = std::mismatch(want.begin(), want.begin() + common, have.begin());
+    EXPECT_TRUE(want == have) << "dist kGlobalPlan base image differs from the centralized one: "
+                              << have.size() << " vs " << want.size()
+                              << " bytes, first difference at byte "
+                              << (diff.first - want.begin());
   }
 }
 

@@ -5,6 +5,9 @@
 // strongest correctness evidence for the message-passing implementation.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
@@ -21,6 +24,11 @@ struct EquivCase {
   int steps;
   uint64_t seed;
 };
+
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " p_delete=" << c.p_delete << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 Graph build_graph(const std::string& kind, int n, Rng& rng) {
   if (kind == "star") return make_star(n);

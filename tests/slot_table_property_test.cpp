@@ -113,7 +113,7 @@ TEST(SlotTableProperty, RandomChurnMatchesMapOfPairsModel) {
           ASSERT_FALSE(m.contains({v, w}));
         }
       } else if (roll < 85) {
-        // Detach: erase the slot if present (remove_vnode's path once both
+        // Detach: erase the slot if present (the break stitch's path once both
         // fields empty).
         if (slots.find(v, w) != nullptr) {
           slots.erase(v, w);

@@ -5,6 +5,19 @@
 namespace fg {
 namespace {
 
+// Build through the reservation API the engines use: one handle reserved,
+// then constructed in place.
+VNodeId new_leaf(VirtualForest& f, NodeId owner, NodeId other) {
+  VNodeId h = f.reserve_range(1);
+  f.make_leaf_in(h, owner, other);
+  return h;
+}
+
+VNodeId new_helper(VirtualForest& f, NodeId owner, NodeId other, VNodeId left,
+                   VNodeId right) {
+  return f.make_helper_in(f.reserve_range(1), owner, other, left, right);
+}
+
 TEST(SlotKey, OrderingAndUniqueness) {
   EXPECT_LT(slot_key(0, 1), slot_key(0, 2));
   EXPECT_LT(slot_key(0, 99), slot_key(1, 0));
@@ -13,7 +26,7 @@ TEST(SlotKey, OrderingAndUniqueness) {
 
 TEST(VirtualForest, LeafBasics) {
   VirtualForest f;
-  VNodeId leaf = f.make_leaf(3, 7);
+  VNodeId leaf = new_leaf(f, 3, 7);
   const auto& n = f.node(leaf);
   EXPECT_TRUE(n.is_leaf);
   EXPECT_EQ(n.owner, 3);
@@ -26,9 +39,9 @@ TEST(VirtualForest, LeafBasics) {
 
 TEST(VirtualForest, HelperJoinSetsFields) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId h = new_helper(f, 0, 9, a, b);
   const auto& n = f.node(h);
   EXPECT_FALSE(n.is_leaf);
   EXPECT_EQ(n.left, a);
@@ -44,14 +57,15 @@ TEST(VirtualForest, HelperJoinSetsFields) {
 
 TEST(VirtualForest, UnlinkAndRemove) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId h = new_helper(f, 0, 9, a, b);
   f.unlink_from_parent(a);
   f.unlink_from_parent(b);
   EXPECT_EQ(f.node(a).parent, kNoVNode);
   EXPECT_EQ(f.node(h).left, kNoVNode);
-  f.remove(h);
+  f.remove_uncounted(h);
+  f.credit_removals(1);
   EXPECT_FALSE(f.exists(h));
   EXPECT_TRUE(f.exists(a));
   EXPECT_EQ(f.live_count(), 2);
@@ -59,11 +73,11 @@ TEST(VirtualForest, UnlinkAndRemove) {
 
 TEST(VirtualForest, IsAncestor) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId c = f.make_leaf(2, 9);
-  VNodeId h1 = f.make_helper(0, 9, a, b);
-  VNodeId h2 = f.make_helper(1, 9, h1, c);
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId c = new_leaf(f, 2, 9);
+  VNodeId h1 = new_helper(f, 0, 9, a, b);
+  VNodeId h2 = new_helper(f, 1, 9, h1, c);
   EXPECT_TRUE(f.is_ancestor(h2, a));
   EXPECT_TRUE(f.is_ancestor(h1, a));
   EXPECT_TRUE(f.is_ancestor(a, a));
@@ -73,11 +87,11 @@ TEST(VirtualForest, IsAncestor) {
 
 TEST(VirtualForest, LeavesAndSubtreeEnumeration) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId c = f.make_leaf(2, 9);
-  VNodeId h1 = f.make_helper(0, 9, a, b);
-  VNodeId h2 = f.make_helper(1, 9, h1, c);
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId c = new_leaf(f, 2, 9);
+  VNodeId h1 = new_helper(f, 0, 9, a, b);
+  VNodeId h2 = new_helper(f, 1, 9, h1, c);
   auto leaves = f.leaves_of(h2);
   EXPECT_EQ(leaves, (std::vector<VNodeId>{a, b, c}));  // left-to-right
   EXPECT_EQ(f.subtree_of(h2).size(), 5u);
@@ -86,31 +100,31 @@ TEST(VirtualForest, LeavesAndSubtreeEnumeration) {
 
 TEST(VirtualForest, ValidHaftRejectsLeftImbalance) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId c = f.make_leaf(2, 9);
-  VNodeId h1 = f.make_helper(0, 9, a, b);
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId c = new_leaf(f, 2, 9);
+  VNodeId h1 = new_helper(f, 0, 9, a, b);
   // Left child must be the bigger/perfect side; (c, h1) violates it.
-  VNodeId bad = f.make_helper(1, 9, c, h1);
+  VNodeId bad = new_helper(f, 1, 9, c, h1);
   EXPECT_FALSE(f.valid_haft(bad));
 }
 
 TEST(VirtualForestDeathTest, HelperOverNonRootsRejected) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
-  VNodeId c = f.make_leaf(2, 9);
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId h = new_helper(f, 0, 9, a, b);
+  VNodeId c = new_leaf(f, 2, 9);
   (void)h;
-  EXPECT_DEATH(f.make_helper(2, 9, a, c), "roots");
+  EXPECT_DEATH(new_helper(f, 2, 9, a, c), "roots");
 }
 
 TEST(VirtualForestDeathTest, RemoveWithChildrenRejected) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
-  EXPECT_DEATH(f.remove(h), "detached");
+  VNodeId a = new_leaf(f, 0, 9);
+  VNodeId b = new_leaf(f, 1, 9);
+  VNodeId h = new_helper(f, 0, 9, a, b);
+  EXPECT_DEATH(f.remove_uncounted(h), "detached");
 }
 
 }  // namespace
