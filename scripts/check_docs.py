@@ -205,6 +205,8 @@ FLAT_ONLY_FILES = (
     "src/fg/sharded_forest.cpp",
     "src/fg/dist/dist_forgiving_graph.h",
     "src/fg/dist/dist_forgiving_graph.cpp",
+    "src/net/network.h",
+    "src/net/network.cpp",
 )
 
 
@@ -238,9 +240,10 @@ def check_graph_api_sync():
         if re.search(r"\bunordered_(?:map|set)\b", header_code(path)):
             problems.append(
                 f"{rel}: unordered_map/unordered_set crept back into the "
-                "repair path — the core, the sharded forest, and the dist "
-                "engine are sorted-flat only (SlotTable, binary-searched "
-                "analysis sets; docs/DESIGN.md, docs/CONCURRENCY.md)")
+                "repair path — the core, the sharded forest, the dist "
+                "engine and the network simulator are flat only (SlotTable, "
+                "binary-searched analysis sets, NodeId-indexed counters; "
+                "docs/DESIGN.md, docs/CONCURRENCY.md)")
     flat_map = REPO / FLAT_MAP_HEADER
     if not flat_map.exists():
         problems.append(

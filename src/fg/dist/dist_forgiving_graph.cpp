@@ -52,9 +52,15 @@ DistForgivingGraph::DistForgivingGraph(const Graph& g0, MergeMode mode)
 // ---------------------------------------------------------------------------
 // Message DAG plumbing.
 
+void DistForgivingGraph::begin_dag() {
+  msgs_.clear();
+  dep_pool_.clear();
+}
+
 int DistForgivingGraph::add_msg(NodeId from, NodeId to, int words,
-                                std::vector<int> deps) {
-  msgs_.push_back(DagMsg{from, to, words, std::move(deps)});
+                                std::span<const int> deps) {
+  dep_pool_.insert(dep_pool_.end(), deps.begin(), deps.end());
+  msgs_.push_back(DagMsg{from, to, words, static_cast<int>(dep_pool_.size())});
   return static_cast<int>(msgs_.size() - 1);
 }
 
@@ -62,11 +68,11 @@ bool DistForgivingGraph::is_deleting(NodeId v) const {
   return std::binary_search(deleting_.begin(), deleting_.end(), v);
 }
 
-std::vector<int> DistForgivingGraph::know_deps(const RegionDag& dag, NodeId u) const {
-  if (u == dag.coordinator) return dag.report_msgs;
-  const int* msg = know_find(dag.know, u);
+std::span<const int> DistForgivingGraph::know_deps(NodeId u) const {
+  if (u == dag_.coordinator) return dag_.report_msgs;
+  const int* msg = know_find(dag_.know, u);
   FG_CHECK_MSG(msg != nullptr, "processor acts before learning the plan");
-  return {*msg};
+  return {msg, 1};
 }
 
 void DistForgivingGraph::dispatch_msg(int i) {
@@ -79,19 +85,35 @@ void DistForgivingGraph::dispatch_msg(int i) {
 }
 
 void DistForgivingGraph::on_delivered(int i) {
-  for (int j : dependents_[static_cast<size_t>(i)])
+  const auto d = static_cast<size_t>(i);
+  for (int k = dependents_off_[d]; k < dependents_off_[d + 1]; ++k) {
+    const int j = dependents_[static_cast<size_t>(k)];
     if (--unmet_[static_cast<size_t>(j)] == 0) dispatch_msg(j);
+  }
 }
 
 void DistForgivingGraph::run_dag() {
-  unmet_.assign(msgs_.size(), 0);
-  dependents_.assign(msgs_.size(), {});
-  for (size_t i = 0; i < msgs_.size(); ++i)
-    for (int d : msgs_[i].deps) {
-      ++unmet_[i];
-      dependents_[static_cast<size_t>(d)].push_back(static_cast<int>(i));
+  // Dependents as CSR by counting sort: message d's dependents are
+  // dependents_[dependents_off_[d], dependents_off_[d + 1]), in ascending
+  // message order. That order is the dispatch order, which fixes FIFO
+  // delivery and the draw order of a seeded DeliveryPolicy.
+  const size_t n = msgs_.size();
+  dependents_off_.assign(n + 1, 0);
+  for (int d : dep_pool_) ++dependents_off_[static_cast<size_t>(d)];
+  for (size_t d = 1; d <= n; ++d) dependents_off_[d] += dependents_off_[d - 1];
+  dependents_.resize(dep_pool_.size());
+  unmet_.resize(n);
+  // Filling back to front leaves each range ascending and each offset at
+  // its range's start.
+  for (size_t i = n; i-- > 0;) {
+    const int dep_begin = i == 0 ? 0 : msgs_[i - 1].dep_end;
+    unmet_[i] = msgs_[i].dep_end - dep_begin;
+    for (int k = msgs_[i].dep_end; k-- > dep_begin;) {
+      const auto d = static_cast<size_t>(dep_pool_[static_cast<size_t>(k)]);
+      dependents_[static_cast<size_t>(--dependents_off_[d])] = static_cast<int>(i);
     }
-  for (size_t i = 0; i < msgs_.size(); ++i)
+  }
+  for (size_t i = 0; i < n; ++i)
     if (unmet_[i] == 0) dispatch_msg(static_cast<int>(i));
   if (!net_.idle()) net_.run_to_quiescence();
 }
@@ -100,7 +122,7 @@ void DistForgivingGraph::run_dag() {
 // Insertions.
 
 NodeId DistForgivingGraph::insert(std::span<const NodeId> neighbors) {
-  msgs_.clear();
+  begin_dag();
   net_.stats().reset();
 
   NodeId id = core_.insert_node(neighbors);
@@ -117,7 +139,7 @@ NodeId DistForgivingGraph::insert(std::span<const NodeId> neighbors) {
 // Deletions.
 
 void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
-  msgs_.clear();
+  begin_dag();
   deleting_.assign(victims.begin(), victims.end());
   std::sort(deleting_.begin(), deleting_.end());
   net_.stats().reset();
@@ -134,26 +156,26 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   //    branch — its own coordinator, report wave, and plan knowledge.
   //    Branches share no dependencies, so when the wave's regions are
   //    disjoint the simulator counts their repairs in parallel rounds.
-  std::vector<std::vector<PieceCtx>> region_pieces;
-  region_pieces.reserve(plan.regions.size());
-  for (const core::RegionPlan& region : plan.regions)
-    region_pieces.push_back(break_messages(region));
-  for (core::RegionPlan& region : plan.regions) {
-    std::vector<PieceCtx>& pieces = region_pieces[static_cast<size_t>(region.id)];
-    std::vector<NodeId> participants;
-    for (const PieceCtx& p : pieces) participants.push_back(p.owner);
-    std::sort(participants.begin(), participants.end());
-    participants.erase(std::unique(participants.begin(), participants.end()),
-                       participants.end());
+  pieces_.clear();
+  piece_off_.assign(1, 0);
+  for (const core::RegionPlan& region : plan.regions) {
+    break_messages(region);
+    piece_off_.push_back(static_cast<int>(pieces_.size()));
+  }
+  for (size_t ri = 0; ri < plan.regions.size(); ++ri) {
+    table_.assign(pieces_.begin() + piece_off_[ri], pieces_.begin() + piece_off_[ri + 1]);
+    group_pieces();
     last_cost_.bt_edges +=
-        participants.empty() ? 0 : static_cast<int>(participants.size()) - 1;
+        participants_.empty() ? 0 : static_cast<int>(participants_.size()) - 1;
 
-    if (pieces.empty()) continue;
-    RegionDag dag;
+    if (table_.empty()) continue;
+    dag_.coordinator = participants_.front();
+    dag_.report_msgs.clear();
+    dag_.know.clear();
     if (mode_ == MergeMode::kGlobalPlan)
-      merge_global(dag, region, std::move(pieces), participants);
+      merge_global(plan.regions[ri]);
     else
-      merge_stage_wise(dag, region, std::move(pieces), participants);
+      merge_stage_wise(plan.regions[ri]);
   }
   run_dag();
 
@@ -196,11 +218,13 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
 // its event is its pre-commit parent: the script is post-order, so the
 // parent is torn down (if at all) only after all of its children. Hence the
 // pre-commit forest names every message's endpoints.
-std::vector<DistForgivingGraph::PieceCtx> DistForgivingGraph::break_messages(
-    const core::RegionPlan& region) {
+void DistForgivingGraph::break_messages(const core::RegionPlan& region) {
   const VirtualForest& forest = core_.forest();
-  std::vector<PieceCtx> pieces;
-  pieces.reserve(region.pieces.size());
+  const size_t first = pieces_.size();
+  auto add_piece = [&](NodeId owner, NodeId rep_owner, int detach) {
+    const size_t i = pieces_.size() - first;
+    pieces_.push_back(PieceCtx{owner, rep_owner, region.pieces[i], detach});
+  };
   for (const core::RegionPlan::Event& e : region.events) {
     const auto& n = forest.node(e.h);
     const NodeId parent_owner =
@@ -213,71 +237,76 @@ std::vector<DistForgivingGraph::PieceCtx> DistForgivingGraph::break_messages(
     }
     // "you are detached"
     const int detach = notify ? add_msg(parent_owner, n.owner, 2, {}) : -1;
-    const size_t i = pieces.size();
-    pieces.push_back(PieceCtx{static_cast<int>(i), n.owner, forest.node(n.rep).owner,
-                              region.pieces[i], detach});
+    add_piece(n.owner, forest.node(n.rep).owner, detach);
   }
   // Fresh anchor leaves were never attached: no detach message.
-  for (const core::RegionPlan::FreshLeaf& f : region.fresh) {
-    const size_t i = pieces.size();
-    pieces.push_back(
-        PieceCtx{static_cast<int>(i), f.owner, f.owner, region.pieces[i], -1});
+  for (const core::RegionPlan::FreshLeaf& f : region.fresh) add_piece(f.owner, f.owner, -1);
+  FG_CHECK(pieces_.size() - first == region.pieces.size());
+}
+
+// The region's participants are its piece owners, ascending; one sort of
+// (owner, piece number) keys yields them together with every participant's
+// pieces in piece order.
+void DistForgivingGraph::group_pieces() {
+  keys_.clear();
+  for (size_t k = 0; k < table_.size(); ++k)
+    keys_.push_back((static_cast<uint64_t>(table_[k].owner) << 32) | k);
+  std::sort(keys_.begin(), keys_.end());
+  participants_.clear();
+  own_off_.clear();
+  own_.clear();
+  for (uint64_t key : keys_) {
+    const auto owner = static_cast<NodeId>(key >> 32);
+    if (participants_.empty() || participants_.back() != owner) {
+      participants_.push_back(owner);
+      own_off_.push_back(static_cast<int>(own_.size()));
+    }
+    own_.push_back(static_cast<int>(key & 0xffffffffu));
   }
-  FG_CHECK(pieces.size() == region.pieces.size());
-  return pieces;
+  own_off_.push_back(static_cast<int>(own_.size()));
+}
+
+std::span<const int> DistForgivingGraph::own_pieces(size_t i) const {
+  return {own_.data() + own_off_[i], static_cast<size_t>(own_off_[i + 1] - own_off_[i])};
 }
 
 // ---------------------------------------------------------------------------
 // kGlobalPlan: report -> plan broadcast -> parallel execution (per region).
 
-void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& region,
-                                      std::vector<PieceCtx> pieces,
-                                      const std::vector<NodeId>& participants) {
-  FG_CHECK(!pieces.empty());
-  dag.coordinator = participants.front();
+void DistForgivingGraph::merge_global(const core::RegionPlan& region) {
+  const std::vector<NodeId>& participants = participants_;
 
   // Reports: every participant sends its piece list straight to the
-  // coordinator (8 words per piece + header). The coordinator's own pieces
-  // only gate its sends. Owners bucket into dense per-participant vectors
-  // via binary search — `participants` is sorted-unique by construction and
-  // every piece owner appears in it.
-  auto part_idx = [&](NodeId o) {
-    auto it = std::lower_bound(participants.begin(), participants.end(), o);
-    FG_CHECK(it != participants.end() && *it == o);
-    return static_cast<size_t>(it - participants.begin());
-  };
-  std::vector<std::vector<int>> detach_by_owner(participants.size());
-  std::vector<int> count_by_owner(participants.size(), 0);
-  for (const PieceCtx& p : pieces) {
-    size_t o = part_idx(p.owner);
-    ++count_by_owner[o];
-    if (p.detach_msg >= 0) detach_by_owner[o].push_back(p.detach_msg);
-  }
+  // coordinator (8 words per piece + header) once its pieces have
+  // detached. The coordinator's own pieces only gate its sends.
   for (size_t mi = 0; mi < participants.size(); ++mi) {
-    NodeId m = participants[mi];
-    if (m == dag.coordinator) {
-      for (int d : detach_by_owner[mi]) dag.report_msgs.push_back(d);
+    const std::span<const int> own = own_pieces(mi);
+    deps_.clear();
+    for (int k : own)
+      if (table_[static_cast<size_t>(k)].detach_msg >= 0)
+        deps_.push_back(table_[static_cast<size_t>(k)].detach_msg);
+    if (mi == 0) {  // the coordinator
+      dag_.report_msgs.assign(deps_.begin(), deps_.end());
       continue;
     }
-    int rep = add_msg(m, dag.coordinator, 8 * count_by_owner[mi] + 1,
-                      detach_by_owner[mi]);
-    dag.report_msgs.push_back(rep);
+    dag_.report_msgs.push_back(add_msg(participants[mi], dag_.coordinator,
+                                       8 * static_cast<int>(own.size()) + 1, deps_));
   }
 
-  if (pieces.size() == 1) return;  // single piece: nothing to merge
+  if (table_.size() == 1) return;  // single piece: nothing to merge
 
   // Plan broadcast down the region's participant binary tree (heap
   // layout). The plan names every piece, so the message is O(pieces) words
   // — the price kGlobalPlan pays for O(log d + log n) rounds.
-  int bcast_words = 8 * static_cast<int>(pieces.size()) + 1;
-  std::vector<int> bcast(participants.size(), -1);
+  int bcast_words = 8 * static_cast<int>(table_.size()) + 1;
+  bcast_.assign(participants.size(), -1);
   for (size_t i = 0; i < participants.size(); ++i) {
     for (size_t c : {2 * i + 1, 2 * i + 2}) {
       if (c >= participants.size()) continue;
-      std::vector<int> deps = i == 0 ? dag.report_msgs : std::vector<int>{bcast[i]};
-      bcast[c] = add_msg(participants[i], participants[c], bcast_words,
-                         std::move(deps));
-      know_set(dag.know, participants[c], bcast[c]);
+      std::span<const int> deps =
+          i == 0 ? std::span<const int>(dag_.report_msgs) : std::span<const int>(&bcast_[i], 1);
+      bcast_[c] = add_msg(participants[i], participants[c], bcast_words, deps);
+      know_set(dag_.know, participants[c], bcast_[c]);
     }
   }
 
@@ -287,23 +316,21 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
   // parallel: every helper owner knows the whole plan and links its join's
   // children without waiting.
   for (const auto& step : region.steps) {
-    const PieceCtx& l = pieces[static_cast<size_t>(step.left)];
-    const PieceCtx& r = pieces[static_cast<size_t>(step.right)];
-    NodeId lo = l.owner;
-    NodeId ro = r.owner;
+    const PieceCtx l = table_[static_cast<size_t>(step.left)];
+    const PieceCtx r = table_[static_cast<size_t>(step.right)];
     NodeId u = l.rep_owner;
-    if (u != dag.coordinator && know_find(dag.know, u) == nullptr) {
+    if (u != dag_.coordinator && know_find(dag_.know, u) == nullptr) {
       // The left root's owner forwards the relevant plan excerpt to the
       // representative that must act (it is a leaf owner, not necessarily a
       // participant).
-      know_set(dag.know, u, add_msg(lo, u, 4, know_deps(dag, lo)));
+      const int fwd = add_msg(l.owner, u, 4, know_deps(l.owner));
+      know_set(dag_.know, u, fwd);
     }
-    std::vector<int> kd = know_deps(dag, u);
-    if (u != lo) add_msg(u, lo, 2, kd);
-    if (u != ro) add_msg(u, ro, 2, kd);
-    PieceCtx res = join(l, r, step.result);
-    FG_CHECK(static_cast<int>(pieces.size()) == step.result);
-    pieces.push_back(res);
+    const std::span<const int> kd = know_deps(u);
+    if (u != l.owner) add_msg(u, l.owner, 2, kd);
+    if (u != r.owner) add_msg(u, r.owner, 2, kd);
+    FG_CHECK(static_cast<int>(table_.size()) == step.result);
+    table_.push_back(join(l, r));
   }
 }
 
@@ -312,88 +339,98 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
 // per region. The association it chooses replaces the region's merge steps
 // (in the region's piece numbering), which the commit then replays.
 
-void DistForgivingGraph::merge_stage_wise(RegionDag& dag, core::RegionPlan& region,
-                                          std::vector<PieceCtx> pieces,
-                                          const std::vector<NodeId>& participants) {
-  FG_CHECK(!pieces.empty());
-  dag.coordinator = participants.front();
-  if (pieces.size() == 1) return;
+void DistForgivingGraph::merge_stage_wise(core::RegionPlan& region) {
+  if (table_.size() == 1) return;
+  const std::vector<NodeId>& participants = participants_;
 
-  // `participants` is sorted-unique and contains every piece owner, so a
-  // binary search replaces the old member-index hash map.
-  auto member_idx = [&](NodeId o) {
-    auto it = std::lower_bound(participants.begin(), participants.end(), o);
-    FG_CHECK(it != participants.end() && *it == o);
-    return static_cast<size_t>(it - participants.begin());
-  };
+  // The region's association replaces its planned steps: same numbering,
+  // same count (checked below).
+  const size_t planned_steps = region.steps.size();
+  std::vector<haft::MergeStep>& steps = region.steps;
+  steps.clear();
 
-  std::vector<std::vector<PieceCtx>> lists(participants.size());
-  std::vector<std::vector<int>> ready(participants.size());
-  for (const PieceCtx& p : pieces) {
-    size_t i = member_idx(p.owner);
-    lists[i].push_back(p);
-    if (p.detach_msg >= 0) ready[i].push_back(p.detach_msg);
-  }
-
-  // Execute the carry plan for stage `i`; `chain` additionally runs the
-  // final ascending chain (coordinator only). Orders go out to each helper
-  // owner as soon as the stage's inputs are ready; the surviving roots stay
-  // in `list`, and every join is appended to `steps` under the next piece
-  // number of the region.
-  std::vector<haft::MergeStep> steps;
-  int next = static_cast<int>(pieces.size());
-  auto run_stage = [&](size_t i, bool chain) {
-    std::vector<PieceCtx>& list = lists[i];
-    std::vector<haft::PieceInfo> infos;
-    infos.reserve(list.size());
-    for (const PieceCtx& p : list) infos.push_back(p.info);
-    auto plan = chain ? haft::merge_plan(std::move(infos))
-                      : haft::carry_plan(std::move(infos));
-    std::vector<char> consumed(list.size() + plan.size(), 0);
-    for (const auto& step : plan) {
-      const PieceCtx& l = list[static_cast<size_t>(step.left)];
-      const PieceCtx& r = list[static_cast<size_t>(step.right)];
+  // Execute the carry plan on `list`, the pieces at stage `i`; `chain`
+  // additionally runs the final ascending chain (coordinator only). Orders
+  // go out to each helper owner once the stage's `ready` events are in;
+  // the surviving roots stay in `list`, and every join is appended to
+  // `steps` and table_ under the next piece number of the region.
+  auto run_stage = [&](std::vector<int>& list, size_t i, std::span<const int> ready,
+                       bool chain) {
+    if (list.size() < 2) return;  // nothing to join: the plan is empty
+    infos_.clear();
+    for (int k : list) infos_.push_back(table_[static_cast<size_t>(k)].info);
+    haft::plan_into(infos_, chain, plan_ws_, stage_plan_);
+    consumed_.assign(list.size() + stage_plan_.size(), 0);
+    for (const auto& step : stage_plan_) {
+      const int lk = list[static_cast<size_t>(step.left)];
+      const int rk = list[static_cast<size_t>(step.right)];
+      const PieceCtx l = table_[static_cast<size_t>(lk)];
+      const PieceCtx r = table_[static_cast<size_t>(rk)];
       NodeId u = l.rep_owner;
-      std::vector<int> deps = ready[i];
-      if (u != participants[i])
-        deps = {add_msg(participants[i], u, 4, ready[i])};  // join order
+      std::span<const int> deps = ready;
+      int order = -1;
+      if (u != participants[i]) {
+        order = add_msg(participants[i], u, 4, ready);  // join order
+        deps = {&order, 1};
+      }
       if (u != l.owner) add_msg(u, l.owner, 2, deps);
       if (u != r.owner) add_msg(u, r.owner, 2, deps);
-      consumed[static_cast<size_t>(step.left)] = 1;
-      consumed[static_cast<size_t>(step.right)] = 1;
-      PieceCtx res = join(l, r, next++);
-      steps.push_back({l.index, r.index, res.index});
+      consumed_[static_cast<size_t>(step.left)] = 1;
+      consumed_[static_cast<size_t>(step.right)] = 1;
+      const int made = static_cast<int>(table_.size());
+      steps.push_back({lk, rk, made});
+      table_.push_back(join(l, r));
       FG_CHECK(static_cast<int>(list.size()) == step.result);
-      list.push_back(res);
+      list.push_back(made);
     }
-    std::vector<PieceCtx> survivors;
+    size_t kept = 0;
     for (size_t j = 0; j < list.size(); ++j)
-      if (!consumed[j]) survivors.push_back(list[j]);
-    list = std::move(survivors);
+      if (!consumed_[j]) list[kept++] = list[j];
+    list.resize(kept);
   };
 
   // Bottom-up over the heap-shaped participant tree: children have larger
-  // indices, so a descending loop visits them first.
+  // indices, so a descending loop visits them first. A participant's stage
+  // takes its own pieces, then each child's carried survivors; it is ready
+  // once its own pieces have detached and each child's list has arrived.
+  // Survivors and ready events wait for the parent in flat pools.
+  carried_.clear();
+  ready_pool_.clear();
+  carried_at_.resize(participants.size());
+  ready_at_.resize(participants.size());
   for (size_t ii = participants.size(); ii-- > 0;) {
+    const std::span<const int> own = own_pieces(ii);
+    stage_.assign(own.begin(), own.end());
+    const int ready_begin = static_cast<int>(ready_pool_.size());
+    for (int k : own)
+      if (table_[static_cast<size_t>(k)].detach_msg >= 0)
+        ready_pool_.push_back(table_[static_cast<size_t>(k)].detach_msg);
     for (size_t c : {2 * ii + 1, 2 * ii + 2}) {
       if (c >= participants.size()) continue;
       // The child's carried list arrives as one O(log n)-piece message.
-      int up = add_msg(participants[c], participants[ii],
-                       8 * static_cast<int>(lists[c].size()) + 1, ready[c]);
-      ready[ii].push_back(up);
-      for (const PieceCtx& p : lists[c]) lists[ii].push_back(p);
-      lists[c].clear();
+      const Range cl = carried_at_[c];
+      const Range cr = ready_at_[c];
+      int up = add_msg(participants[c], participants[ii], 8 * (cl.end - cl.begin) + 1,
+                       {ready_pool_.data() + cr.begin, static_cast<size_t>(cr.end - cr.begin)});
+      ready_pool_.push_back(up);
+      stage_.insert(stage_.end(), carried_.begin() + cl.begin, carried_.begin() + cl.end);
     }
+    const int ready_end = static_cast<int>(ready_pool_.size());
+    ready_at_[ii] = {ready_begin, ready_end};
     // Carries keep every in-flight list at pairwise-distinct sizes; the
     // coordinator finishes with the ascending chain (Algorithm A.9 phase 2).
-    run_stage(ii, /*chain=*/ii == 0);
+    run_stage(stage_, ii,
+              {ready_pool_.data() + ready_begin, static_cast<size_t>(ready_end - ready_begin)},
+              /*chain=*/ii == 0);
+    carried_at_[ii] = {static_cast<int>(carried_.size()),
+                       static_cast<int>(carried_.size() + stage_.size())};
+    carried_.insert(carried_.end(), stage_.begin(), stage_.end());
   }
-  FG_CHECK(lists[0].size() == 1);
+  FG_CHECK(stage_.size() == 1);
   // One helper per join, as in the planned merge: the arena reservation
   // (fresh + steps per region) holds unchanged.
-  FG_CHECK_MSG(steps.size() == region.steps.size(),
+  FG_CHECK_MSG(steps.size() == planned_steps,
                "stage-wise association must join the region's pieces exactly once each");
-  region.steps = std::move(steps);
 }
 
 }  // namespace fg::dist

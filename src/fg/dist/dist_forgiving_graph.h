@@ -177,21 +177,22 @@ class DistForgivingGraph {
   /// once every message it depends on has been delivered; messages with
   /// from == to are local computation and bypass the network (uncounted,
   /// instantaneous), exactly like the homomorphism collapses same-processor
-  /// virtual edges.
+  /// virtual edges. Messages append their dependencies to dep_pool_ in
+  /// message order, so message i's are dep_pool_[msgs_[i - 1].dep_end,
+  /// msgs_[i].dep_end).
   struct DagMsg {
     NodeId from = kInvalidNode;
     NodeId to = kInvalidNode;
     int words = 1;
-    std::vector<int> deps;
+    int dep_end = 0;
   };
 
   /// A piece (perfect subtree) awaiting merge, as the DAG builder tracks it
-  /// before any mutation: its number in the region's merge-step numbering,
-  /// its root's owner, its representative's owner and plan input, and the
-  /// DAG event that detached it (-1 if it was never attached, e.g. a fresh
-  /// anchor leaf or a join result).
+  /// before any mutation: its root's owner, its representative's owner and
+  /// plan input, and the DAG event that detached it (-1 if it was never
+  /// attached, e.g. a fresh anchor leaf or a join result). Its number in
+  /// the region's merge-step numbering is its position in table_.
   struct PieceCtx {
-    int index = -1;
     NodeId owner = kInvalidNode;
     NodeId rep_owner = kInvalidNode;
     haft::PieceInfo info;
@@ -213,25 +214,26 @@ class DistForgivingGraph {
     std::vector<std::pair<NodeId, int>> know;
   };
 
-  /// The piece a join of `l` (left) and `r` creates as piece `index`
-  /// (Algorithm A.9): the left representative's owner simulates the new
-  /// helper, which inherits the right representative.
-  static PieceCtx join(const PieceCtx& l, const PieceCtx& r, int index) {
-    return PieceCtx{index, l.rep_owner, r.rep_owner,
+  /// The piece a join of `l` (left) and `r` creates (Algorithm A.9): the
+  /// left representative's owner simulates the new helper, which inherits
+  /// the right representative.
+  static PieceCtx join(const PieceCtx& l, const PieceCtx& r) {
+    return PieceCtx{l.rep_owner, r.rep_owner,
                     {l.info.leaf_count + r.info.leaf_count, r.info.key}, -1};
   }
 
   // --- DAG construction helpers (see dist_forgiving_graph.cpp).
-  int add_msg(NodeId from, NodeId to, int words, std::vector<int> deps);
+  void begin_dag();
+  int add_msg(NodeId from, NodeId to, int words, std::span<const int> deps);
   bool is_deleting(NodeId v) const;
-  std::vector<int> know_deps(const RegionDag& dag, NodeId u) const;
-  std::vector<PieceCtx> break_messages(const core::RegionPlan& region);
-  void merge_global(RegionDag& dag, const core::RegionPlan& region,
-                    std::vector<PieceCtx> pieces,
-                    const std::vector<NodeId>& participants);
-  void merge_stage_wise(RegionDag& dag, core::RegionPlan& region,
-                        std::vector<PieceCtx> pieces,
-                        const std::vector<NodeId>& participants);
+  /// The events processor `u` waits on before acting on the current
+  /// region's plan. Valid until the region's knowledge next changes.
+  std::span<const int> know_deps(NodeId u) const;
+  void break_messages(const core::RegionPlan& region);
+  void group_pieces();
+  std::span<const int> own_pieces(size_t participant) const;
+  void merge_global(const core::RegionPlan& region);
+  void merge_stage_wise(core::RegionPlan& region);
   void run_dag();
   void dispatch_msg(int i);
   void on_delivered(int i);
@@ -249,12 +251,53 @@ class DistForgivingGraph {
   harness::CertificateSink* cert_sink_ = nullptr;
   long certified_waves_ = 0;  ///< Wave index of the next certificate.
 
-  // Per-repair DAG state.
+  // Per-repair DAG state. Every buffer below is cleared, never freed,
+  // between repairs, so building and replaying a wave's DAG allocates
+  // nothing once the buffers have grown to the largest wave seen.
   std::vector<DagMsg> msgs_;
+  std::vector<int> dep_pool_;  ///< Every message's deps, back to back.
   std::vector<int> unmet_;
-  std::vector<std::vector<int>> dependents_;
+  /// Dependents as CSR: message d's are
+  /// dependents_[dependents_off_[d], dependents_off_[d + 1]), ascending.
+  std::vector<int> dependents_off_;
+  std::vector<int> dependents_;
   /// Victims of the repair in flight: sorted per batch, binary-searched.
   std::vector<NodeId> deleting_;
+  /// Every region's pieces, back to back; region r's are
+  /// pieces_[piece_off_[r], piece_off_[r + 1]).
+  std::vector<PieceCtx> pieces_;
+  std::vector<int> piece_off_;
+  /// The region being merged: its piece table (the region's pieces, then
+  /// each join's result, indexed by piece number), its participants (piece
+  /// owners, ascending), participant i's pieces own_[own_off_[i],
+  /// own_off_[i + 1]) in piece order, the sort keys that grouped them, and
+  /// its DAG branch.
+  std::vector<PieceCtx> table_;
+  std::vector<NodeId> participants_;
+  std::vector<int> own_;
+  std::vector<int> own_off_;
+  std::vector<uint64_t> keys_;
+  RegionDag dag_;
+  // Merge scratch, all piece lists as piece numbers. kGlobalPlan: a
+  // report's deps and the broadcast events. kStageWise: the stage's
+  // pieces, every participant's carried survivors and ready events (flat,
+  // with per-participant ranges), and the stage planner's input,
+  // workspace, plan and consumed flags.
+  struct Range {
+    int begin = 0;
+    int end = 0;
+  };
+  std::vector<int> deps_;
+  std::vector<int> bcast_;
+  std::vector<int> stage_;
+  std::vector<int> carried_;
+  std::vector<Range> carried_at_;
+  std::vector<int> ready_pool_;
+  std::vector<Range> ready_at_;
+  std::vector<haft::PieceInfo> infos_;
+  haft::PlanWorkspace plan_ws_;
+  std::vector<haft::MergeStep> stage_plan_;
+  std::vector<char> consumed_;
 };
 
 }  // namespace fg::dist

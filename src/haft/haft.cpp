@@ -16,11 +16,7 @@ int ceil_log2(int64_t l) {
 
 namespace {
 
-struct Item {
-  int64_t size;
-  uint64_t key;
-  int idx;
-};
+using Item = PlanWorkspace::Item;
 
 bool item_less(const Item& a, const Item& b) {
   if (a.size != b.size) return a.size < b.size;
@@ -30,19 +26,20 @@ bool item_less(const Item& a, const Item& b) {
 
 }  // namespace
 
-namespace {
-std::vector<MergeStep> plan_impl(std::vector<PieceInfo> pieces, bool chain);
-}  // namespace
-
-std::vector<MergeStep> merge_plan(std::vector<PieceInfo> pieces) {
-  return plan_impl(std::move(pieces), /*chain=*/true);
+std::vector<MergeStep> merge_plan(const std::vector<PieceInfo>& pieces) {
+  PlanWorkspace ws;
+  std::vector<MergeStep> plan;
+  plan_into(pieces, /*chain=*/true, ws, plan);
+  return plan;
 }
 
-std::vector<MergeStep> carry_plan(std::vector<PieceInfo> pieces) {
-  return plan_impl(std::move(pieces), /*chain=*/false);
+std::vector<MergeStep> carry_plan(const std::vector<PieceInfo>& pieces) {
+  PlanWorkspace ws;
+  std::vector<MergeStep> plan;
+  plan_into(pieces, /*chain=*/false, ws, plan);
+  return plan;
 }
 
-namespace {
 // K-way bottom-up planner. Semantically this is still Algorithm A.9 —
 // binary addition with carries, then the ascending chain — and it emits a
 // step sequence *identical* to the textbook sorted-list formulation (pair
@@ -62,14 +59,15 @@ namespace {
 //     arrive in ascending (key, idx) order themselves;
 //   * a carry is strictly bigger than every not-yet-paired piece of its
 //     originating class, so pairing is always "two smallest first".
-std::vector<MergeStep> plan_impl(std::vector<PieceInfo> pieces, bool chain) {
+void plan_into(std::span<const PieceInfo> pieces, bool chain, PlanWorkspace& ws,
+               std::vector<MergeStep>& plan) {
   for (const auto& p : pieces) FG_CHECK_MSG(is_pow2(p.leaf_count), "piece not perfect");
   const int k = static_cast<int>(pieces.size());
-  std::vector<MergeStep> plan;
-  if (k <= 1) return plan;
+  plan.clear();
+  if (k <= 1) return;
 
-  std::vector<Item> items;
-  items.reserve(pieces.size());
+  std::vector<Item>& items = ws.items_;
+  items.clear();
   for (int i = 0; i < k; ++i) items.push_back({pieces[i].leaf_count, pieces[i].key, i});
   std::sort(items.begin(), items.end(), item_less);
   plan.reserve(items.size());
@@ -79,9 +77,12 @@ std::vector<MergeStep> plan_impl(std::vector<PieceInfo> pieces, bool chain) {
   // Phase 1 (Algorithm A.9 lines 5-19): binary addition, one size class at
   // a time. `carry` always holds a single size (the class above the last
   // one processed); at most one piece per class survives unpaired.
-  std::vector<Item> survivors;   // distinct sizes, ascending
-  std::vector<Item> carry;       // carries awaiting the next class
-  std::vector<Item> cls, next_carry;
+  std::vector<Item>& survivors = ws.survivors_;  // distinct sizes, ascending
+  std::vector<Item>& carry = ws.carry_;          // carries awaiting the next class
+  std::vector<Item>& cls = ws.cls_;
+  std::vector<Item>& next_carry = ws.next_carry_;
+  survivors.clear();
+  carry.clear();
   size_t i = 0;
   while (i < items.size() || !carry.empty()) {
     int64_t s = carry.empty() ? items[i].size
@@ -124,9 +125,7 @@ std::vector<MergeStep> plan_impl(std::vector<PieceInfo> pieces, bool chain) {
                           std::min(survivors[j].key, survivors[j + 1].key), step.result};
     }
   }
-  return plan;
 }
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // HaftForest
@@ -226,7 +225,7 @@ int HaftForest::merge(const std::vector<int>& roots) {
     uint64_t key = *std::min_element(labels.begin(), labels.end());
     infos.push_back({nodes_[h].leaf_count, key});
   }
-  auto plan = merge_plan(std::move(infos));
+  auto plan = merge_plan(infos);
   for (const auto& step : plan) {
     int made = join(piece_handles[static_cast<size_t>(step.left)],
                     piece_handles[static_cast<size_t>(step.right)]);

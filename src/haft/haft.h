@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace fg::haft {
@@ -60,13 +61,38 @@ struct MergeStep {
 /// hanging the accumulated smaller haft below the next bigger tree (bigger
 /// tree = left child). Requires every leaf_count to be a positive power of
 /// two. Returns an empty plan for k <= 1 pieces.
-std::vector<MergeStep> merge_plan(std::vector<PieceInfo> pieces);
+std::vector<MergeStep> merge_plan(const std::vector<PieceInfo>& pieces);
 
 /// Phase 1 only: binary addition without the final chain. The result is a
 /// forest of perfect trees with pairwise-distinct sizes — the intermediate
 /// state the paper's BottomupRTMerge carries between BT_v stages, which is
 /// what keeps its piece lists (and thus message sizes) at O(log n) entries.
-std::vector<MergeStep> carry_plan(std::vector<PieceInfo> pieces);
+std::vector<MergeStep> carry_plan(const std::vector<PieceInfo>& pieces);
+
+/// Scratch buffers of the planner. A caller that plans many times (the
+/// distributed engine plans once per aggregation stage) keeps one and
+/// passes it to plan_into, so repeated plans allocate nothing once the
+/// buffers have grown.
+class PlanWorkspace {
+ public:
+  /// A piece or carry as the planner sorts it.
+  struct Item {
+    int64_t size;
+    uint64_t key;
+    int idx;
+  };
+
+ private:
+  friend void plan_into(std::span<const PieceInfo>, bool, PlanWorkspace&,
+                        std::vector<MergeStep>&);
+  std::vector<Item> items_, survivors_, carry_, cls_, next_carry_;
+};
+
+/// The one planner behind merge_plan (`chain` true) and carry_plan
+/// (`chain` false): replaces `plan` with the joins for `pieces`, using
+/// `ws` for scratch.
+void plan_into(std::span<const PieceInfo> pieces, bool chain, PlanWorkspace& ws,
+               std::vector<MergeStep>& plan);
 
 /// Returns true iff v is a positive power of two.
 constexpr bool is_pow2(int64_t v) { return v > 0 && (v & (v - 1)) == 0; }

@@ -8,7 +8,7 @@ namespace fg::net {
 
 int64_t NetStats::max_node_sent() const {
   int64_t best = 0;
-  for (const auto& [node, count] : sent_by) best = std::max(best, count);
+  for (NodeId v : senders_) best = std::max<int64_t>(best, sent_by[static_cast<size_t>(v)]);
   return best;
 }
 
@@ -17,7 +17,8 @@ void NetStats::reset() {
   words = 0;
   rounds = 0;
   max_message_words = 0;
-  sent_by.clear();
+  for (NodeId v : senders_) sent_by[static_cast<size_t>(v)] = 0;
+  senders_.clear();
   max_node_round_words = 0;
 }
 
@@ -29,17 +30,14 @@ void Network::set_policy(const DeliveryPolicy& policy) {
   rng_ = Rng(policy.seed);
 }
 
-void Network::enqueue(NodeId from, NodeId to, std::any payload, int words) {
-  // Fault knobs bite real messages only (words >= 1); uncounted local
-  // events always arrive exactly once. The drop decision comes before any
-  // delay draw, so enabling delays does not reshuffle which messages an
-  // identically-seeded policy drops.
-  const bool on_wire = words >= 1;
-  if (on_wire && policy_.drop_one_in > 0 &&
+void Network::enqueue(NodeId from, NodeId to, std::any payload) {
+  // The drop decision comes before any delay draw, so enabling delays does
+  // not reshuffle which messages an identically-seeded policy drops.
+  if (policy_.drop_one_in > 0 &&
       rng_.next_below(static_cast<uint64_t>(policy_.drop_one_in)) == 0)
     return;
   int copies = 1;
-  if (on_wire && policy_.dup_one_in > 0 &&
+  if (policy_.dup_one_in > 0 &&
       rng_.next_below(static_cast<uint64_t>(policy_.dup_one_in)) == 0)
     copies = 2;
   for (int c = copies; c > 0; --c) {
@@ -48,26 +46,32 @@ void Network::enqueue(NodeId from, NodeId to, std::any payload, int words) {
       delay += static_cast<int>(rng_.next_below(
           static_cast<uint64_t>(policy_.max_extra_delay) + 1));
     if (c > 1)
-      queue_.push_back(Pending{from, to, payload, words, delay});
+      queue_.push_back(Pending{from, to, payload, delay});
     else
-      queue_.push_back(Pending{from, to, std::move(payload), words, delay});
+      queue_.push_back(Pending{from, to, std::move(payload), delay});
   }
 }
 
 void Network::send(NodeId from, NodeId to, std::any payload, int words) {
   FG_CHECK(words >= 1);
+  FG_CHECK(from >= 0);
   ++stats_.messages;
   stats_.words += words;
   stats_.max_message_words = std::max(stats_.max_message_words, words);
-  ++stats_.sent_by[from];
-  int64_t& round_words = round_words_by_node_[from];
-  round_words += words;
-  stats_.max_node_round_words = std::max(stats_.max_node_round_words, round_words);
-  enqueue(from, to, std::move(payload), words);
+  const auto v = static_cast<size_t>(from);
+  if (v >= stats_.sent_by.size()) stats_.sent_by.resize(v + 1, 0);
+  if (stats_.sent_by[v]++ == 0) stats_.senders_.push_back(from);
+  if (v >= round_words_.size()) round_words_.resize(v + 1, 0);
+  if (round_words_[v] == 0) round_senders_.push_back(from);
+  round_words_[v] += words;
+  stats_.max_node_round_words =
+      std::max<int64_t>(stats_.max_node_round_words, round_words_[v]);
+  enqueue(from, to, std::move(payload));
 }
 
-void Network::send_uncounted(NodeId from, NodeId to, std::any payload) {
-  enqueue(from, to, std::move(payload), 0);
+void Network::clear_round_words() {
+  for (NodeId v : round_senders_) round_words_[static_cast<size_t>(v)] = 0;
+  round_senders_.clear();
 }
 
 int Network::run_to_quiescence(int max_rounds) {
@@ -76,24 +80,30 @@ int Network::run_to_quiescence(int max_rounds) {
   while (!queue_.empty()) {
     FG_CHECK_MSG(rounds < max_rounds, "protocol did not quiesce");
     ++rounds;
-    // Split the queue into this round's deliveries and the still-delayed
-    // remainder; handler sends land in the queue with their own delays.
-    std::vector<Pending> batch;
-    std::vector<Pending> later;
-    batch.reserve(queue_.size());
-    for (Pending& p : queue_) {
-      if (--p.delay <= 0)
-        batch.push_back(std::move(p));
-      else
-        later.push_back(std::move(p));
+    // This round delivers the messages whose delay runs out, in queue
+    // order (or shuffled); the others stay queued in order, and handler
+    // sends land behind them with their own delays.
+    const size_t queued = queue_.size();
+    due_.clear();
+    for (size_t i = 0; i < queued; ++i)
+      if (--queue_[i].delay <= 0) due_.push_back(static_cast<uint32_t>(i));
+    if (policy_.shuffle) rng_.shuffle(due_);
+    clear_round_words();  // sends below belong to this round
+    for (uint32_t i : due_) {
+      // Moved out first: the handler's sends may reallocate the queue.
+      const Pending p = std::move(queue_[i]);
+      handler_(p.to, p.from, p.payload);
     }
-    queue_ = std::move(later);
-    if (policy_.shuffle) rng_.shuffle(batch);
-    round_words_by_node_.clear();  // sends below belong to this round
-    for (const Pending& p : batch) handler_(p.to, p.from, p.payload);
+    size_t kept = 0;
+    for (size_t i = 0; i < queue_.size(); ++i) {
+      if (i < queued && queue_[i].delay <= 0) continue;  // delivered
+      if (kept != i) queue_[kept] = std::move(queue_[i]);
+      ++kept;
+    }
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept), queue_.end());
   }
   stats_.rounds += rounds;
-  round_words_by_node_.clear();
+  clear_round_words();
   return rounds;
 }
 
