@@ -1,8 +1,6 @@
-// Shared sustained-churn driver for the healer service: one op-stream
-// generator + service loop used by bench/churn_service.cpp (the standalone
-// flag-driven driver) and bench/repair_path.cpp (the tracked R6 rows in
-// BENCH_repair_path.json), so the tracked numbers and the exploratory runs
-// can never drift apart.
+// Sustained-churn driver for the healer service: the op-stream generator +
+// service loop behind bench/churn_service.cpp (the flag-driven driver; the
+// tracked serving-loop numbers come from healbench's aged_open workload).
 //
 // The generator maintains its own alive-id pool mirroring the stream's
 // effects: a victim leaves the pool the moment its delete op is generated

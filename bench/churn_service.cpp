@@ -3,9 +3,8 @@
 // ingesting a continuous seeded insert/delete stream against a large sparse
 // substrate (n >= 10^6 at the defaults), each wave healed as it fills, with
 // the sampled certificate guardrail on. Reports steady-state throughput and
-// per-wave repair latency percentiles; the tracked rows land in
-// BENCH_repair_path.json via bench/repair_path.cpp, which runs the same
-// driver (bench/churn_common.h).
+// per-wave repair latency percentiles (driver in bench/churn_common.h; the
+// tracked serving-loop numbers come from healbench's aged_open workload).
 //
 // Flags (all optional):
 //   --nodes N          substrate size              (default 1048576)

@@ -4,13 +4,15 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
-#include <sstream>
+#include <string>
 
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "haft/haft.h"
+#include "snap/snapshot.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -91,9 +93,11 @@ void BM_BreakPhase(benchmark::State& state) {
     state.PauseTiming();
     ForgivingGraph fg(make_star(n));
     fg.remove(0);
-    std::stringstream ss;
-    fg.save(ss);
-    core::StructuralCore core = core::StructuralCore::load(ss);
+    snap::BaseImage image;
+    fg.core().to_base_image(&image);
+    core::StructuralCore core;
+    std::string err;
+    FG_CHECK(core::StructuralCore::from_base_image(image, &core, &err));
     std::vector<NodeId> wave;
     for (NodeId v = 1; v <= kWave; ++v) wave.push_back(v);
     core::RepairPlan plan =

@@ -20,7 +20,6 @@
 // Wall-clock numbers vary by machine; ratios are the reproducible part.
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -31,7 +30,6 @@
 #include "adversary/adversary.h"
 #include "bench_common.h"
 #include "cert/certificate.h"
-#include "churn_common.h"
 #include "fg/core/slot_table.h"
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
@@ -46,6 +44,13 @@
 
 namespace fg {
 namespace {
+
+/// A core's checkpoint: its base-image bytes, what every C4 check compares.
+std::vector<uint8_t> checkpoint(const core::StructuralCore& core) {
+  snap::BaseImage image;
+  core.to_base_image(&image);
+  return snap::encode_base(image);
+}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -310,15 +315,19 @@ void sharded_wave(Table& t, Table& cost) {
   FG_CHECK(action.has_value() && action->targets.size() == kWave);
   const std::vector<NodeId>& wave = action->targets;
 
-  // Snapshot the pre-wave state once; every variant replays from it.
-  std::stringstream snapshot;
-  probe.engine().save(snapshot);
-  auto fresh_engine = [&]() {
-    std::stringstream ss(snapshot.str());
-    return ForgivingGraph::load(ss);
+  // Checkpoint the pre-wave state once (its base image); every variant
+  // restores from it and is checked against the w=1 variant's image bytes.
+  snap::BaseImage pre_wave;
+  probe.engine().core().to_base_image(&pre_wave);
+  auto fresh_core = [&]() {
+    core::StructuralCore core;
+    std::string err;
+    FG_CHECK_MSG(core::StructuralCore::from_base_image(pre_wave, &core, &err), err.c_str());
+    return core;
   };
+  auto fresh_engine = [&]() { return ForgivingGraph(fresh_core()); };
 
-  std::string reference;  // checkpoint after the wave, workers=1
+  std::vector<uint8_t> reference;  // checkpoint after the wave, workers=1
   double plan_w1_ms = 0.0;
   for (int workers : {1, 4}) {
     ForgivingGraph fg = fresh_engine();
@@ -331,12 +340,10 @@ void sharded_wave(Table& t, Table& cost) {
     double commit_ms = ms_since(t1);
 
     FG_CHECK(plan.regions.size() == kWave);  // the wave really is disjoint
-    std::stringstream after;
-    fg.save(after);
     if (workers == 1)
-      reference = after.str();
+      reference = checkpoint(fg.core());
     else
-      FG_CHECK_MSG(after.str() == reference,
+      FG_CHECK_MSG(checkpoint(fg.core()) == reference,
                    "sharded repair diverged from sequential (C4)");
 
     std::string name = workers == 1 ? "sharded_wave_plan_w1" : "sharded_wave_plan_w4";
@@ -376,9 +383,7 @@ void sharded_wave(Table& t, Table& cost) {
     fg.commit_delete_batch(plan);
     double commit_ms = ms_since(t0);
 
-    std::stringstream after;
-    fg.save(after);
-    FG_CHECK_MSG(after.str() == reference,
+    FG_CHECK_MSG(checkpoint(fg.core()) == reference,
                  "parallel commit diverged from sequential (C4)");
 
     record(t, "sharded_commit_w" + std::to_string(workers), kN, kWave, commit_ms);
@@ -398,8 +403,7 @@ void sharded_wave(Table& t, Table& cost) {
   // reference (C4 covers the break fan-out too).
   double break_w1_ms = 0.0;
   for (int workers : {1, 2, 4}) {
-    std::stringstream ss(snapshot.str());
-    core::StructuralCore core = core::StructuralCore::load(ss);
+    core::StructuralCore core = fresh_core();
     ShardedForest shards;
     core::RepairPlan plan = shards.plan(core, wave);
     const int regions = static_cast<int>(plan.regions.size());
@@ -424,9 +428,7 @@ void sharded_wave(Table& t, Table& cost) {
       core.merge_region(plan.regions[i], std::move(pieces[i]), &merge_fx[i]);
     for (size_t i = 0; i < n; ++i) core.apply_merge_effects(merge_fx[i]);
     core.check_reservation_settled(plan);
-    std::stringstream after;
-    core.save(after);
-    FG_CHECK_MSG(after.str() == reference,
+    FG_CHECK_MSG(checkpoint(core) == reference,
                  "parallel break diverged from sequential (C4)");
 
     record(t, "break_w" + std::to_string(workers), kN, kWave, break_ms);
@@ -513,52 +515,16 @@ void certify_overhead(Table& t) {
     g_rows.push_back({"certify_overhead_1024", kN, kWave, on_ms / off_ms, 0.0});
 }
 
-// Scenario H (R6): the sustained-churn healer service — the bench driver of
-// bench/churn_common.h (shared with the standalone bench/churn_service.cpp)
-// run at a tracked scale: steady-state throughput of the pipelined service
-// loop with the sampled certificate guardrail on. FG_CHURN_FULL=1 switches
-// to the full acceptance scale (n = 2^20 >= 10^6 nodes, 2M ops — minutes of
-// wall clock; what docs/EXPERIMENTS.md § R6 quotes); the default keeps the
-// tracked row reproducible in seconds.
-void churn_service(Table& t) {
-  ChurnDriverConfig cfg;
-  const bool full = std::getenv("FG_CHURN_FULL") != nullptr;
-  if (!full) {
-    cfg.nodes = 1 << 16;
-    cfg.ops = 200'000;
-  }
-  cfg.service.certify_every = 256;
-  ChurnDriverResult r = run_churn_driver(cfg);
-  FG_CHECK_MSG(r.stats.cert_rejections == 0,
-               "the sampled certificate guardrail rejected a wave");
-  FG_CHECK(r.stats.stale_replans == 0);  // nothing mutates behind the service
-
-  const int ops = static_cast<int>(cfg.ops);
-  record(t, "churn_service_build", cfg.nodes, cfg.nodes, r.build_ms);
-  record(t, "churn_service_stream", cfg.nodes, ops, r.elapsed_ms);
-  g_rows.push_back({"churn_ops_per_sec", cfg.nodes, ops, r.ops_per_sec, 0.0});
-  g_rows.push_back({"churn_repair_p50_ms", cfg.nodes, ops, r.p50_ms, 0.0});
-  g_rows.push_back({"churn_repair_p99_ms", cfg.nodes, ops, r.p99_ms, 0.0});
-  g_rows.push_back({"churn_waves", cfg.nodes, ops,
-                    static_cast<double>(r.stats.waves), 0.0});
-  g_rows.push_back({"churn_certified_waves", cfg.nodes, ops,
-                    static_cast<double>(r.stats.certified_waves), 0.0});
-}
-
 // Scenario I (R8): the durable-snapshot subsystem (src/snap) at the
-// acceptance scale, n = 2^20. Four costs and one size:
+// acceptance scale, n = 2^20. Three costs and one size:
 //
 //   snapshot_base   — to_base_image + encode_base of the full engine
 //   snapshot_delta  — framing one 64-victim wave delta (the steady-state
 //                     per-wave cost the healer service pays)
-//   restore_full    — the pre-snapshot path: parse a text checkpoint
-//   restore_delta   — the snapshot path: decode base + replay ONE delta
+//   restore_delta   — decode base + replay ONE delta
 //   bytes_per_node  — base-image size over n
 //
-// The point of the subsystem is the restore_full / restore_delta ratio:
-// recovery cost proportional to the delta tail, not to n-scale text
-// parsing. Both restores are FG_CHECKed to land on the identical
-// checkpoint before the ratio is recorded.
+// The restore is FG_CHECKed to land on the live engine's checkpoint.
 void snapshot_cost(Table& t) {
   constexpr int kN = 1 << 20;
   constexpr int kWave = 64;
@@ -594,14 +560,6 @@ void snapshot_cost(Table& t) {
   snap::append_delta(&log_bytes, delta);
   record(t, "snapshot_delta", kN, kWave, ms_since(t0));
 
-  std::stringstream text;
-  fg.core().save(text);
-
-  t0 = std::chrono::steady_clock::now();
-  core::StructuralCore from_text = core::StructuralCore::load(text);
-  double full_ms = ms_since(t0);
-  record(t, "restore_full", kN, kN, full_ms);
-
   t0 = std::chrono::steady_clock::now();
   snap::BaseImage decoded;
   std::string err;
@@ -609,15 +567,10 @@ void snapshot_cost(Table& t) {
   core::StructuralCore from_snap;
   FG_CHECK(core::StructuralCore::from_base_image(decoded, &from_snap, &err));
   FG_CHECK(from_snap.apply_wave_delta(delta, &err));
-  double delta_ms = ms_since(t0);
-  record(t, "restore_delta", kN, kWave, delta_ms);
+  record(t, "restore_delta", kN, kWave, ms_since(t0));
 
-  std::stringstream a, b;
-  from_text.save(a);
-  from_snap.save(b);
-  FG_CHECK_MSG(a.str() == b.str(), "snapshot restore diverged from text load");
-  if (delta_ms > 0.0)
-    g_rows.push_back({"restore_speedup", kN, kN, full_ms / delta_ms, 0.0});
+  FG_CHECK_MSG(checkpoint(from_snap) == checkpoint(fg.core()),
+               "snapshot restore diverged from the live engine");
 }
 
 void write_json(const std::string& path) {
@@ -653,7 +606,6 @@ int main() {
   star_hub_merge(t);
   sharded_wave(t, cost);
   certify_overhead(t);
-  churn_service(t);
   snapshot_cost(t);
   t.print(std::cout);
   std::cout << "\nprotocol cost (wave DAGs; regions repair in parallel rounds):\n";

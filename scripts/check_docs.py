@@ -409,7 +409,6 @@ SNAP_API_MD_NAMES = (
     "to_base_image",
     "from_base_image",
     "apply_wave_delta",
-    "try_load",
 )
 
 
@@ -480,6 +479,32 @@ def check_snapshot_sync():
         problems.append(
             "docs/DESIGN.md: missing the 'Durable snapshots' section (base "
             "images, delta log, crash-consistency rules, restore-audit flow)")
+    return problems
+
+
+# One checkpoint format: the base image (docs/SNAPSHOTS.md) is the engine's
+# only on-disk form of its structure. The retired FGv1 text checkpoint may
+# not come back — neither its header string anywhere in src/ nor a
+# stream-based save/load on any src/fg type. (fgsnap's `dump` prints the
+# FGv1 layout as a read-only view; tools/ is outside this gate.)
+STREAM_CHECKPOINT_RE = re.compile(r"\b(save\(std::ostream|load\(std::istream)")
+
+
+def check_one_checkpoint_format():
+    problems = []
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cpp"):
+            continue
+        rel = path.relative_to(REPO)
+        text = path.read_text()
+        if "FGv1" in text:
+            problems.append(
+                f"{rel}: mentions the retired FGv1 text checkpoint — the base "
+                "image is the one checkpoint format")
+        if rel.parts[:2] == ("src", "fg") and STREAM_CHECKPOINT_RE.search(text):
+            problems.append(
+                f"{rel}: declares a stream save/load — a second checkpoint "
+                "format; checkpoint through to_base_image/from_base_image")
     return problems
 
 
@@ -563,7 +588,7 @@ def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
                 check_stabilizer_sync() + check_snapshot_sync() +
-                check_certificate_independence())
+                check_one_checkpoint_format() + check_certificate_independence())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -573,7 +598,8 @@ def main():
           "and C4 wording match the headers, Graph view API in sync (no "
           "unordered_set in the surface), healer-service API in sync, "
           "stabilizer API and violation kinds in sync, snapshot format/API "
-          "in sync (fgsnap link line engine-free), certificate checker "
+          "in sync (fgsnap link line engine-free), one checkpoint format "
+          "(no FGv1 text in src/), certificate checker "
           "independent (includes + fgcheck link line) and its API/version "
           "in sync")
 

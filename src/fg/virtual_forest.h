@@ -23,7 +23,8 @@
 //       propagates the right child's rep upward (Algorithm A.9), keeping
 //       each (owner, other) slot to at most one helper forest-wide.
 //   V4. Tombstoned nodes are never resurrected; handles stay stable across
-//       dump()/from_dump() so engine checkpoints can round-trip.
+//       dump()/from_dump() so base images (the engine checkpoint) can
+//       round-trip.
 #pragma once
 
 #include <cstdint>
@@ -160,7 +161,8 @@ class VirtualForest {
   std::string to_dot(VNodeId root) const;
 
   /// Snapshot / restore of the whole arena (including tombstones, so node
-  /// handles survive a round-trip). Used by ForgivingGraph::save/load.
+  /// handles survive a round-trip). Used by StructuralCore's base-image
+  /// codec (to_base_image / from_base_image).
   const std::vector<VNode>& dump() const { return nodes_; }
   static VirtualForest from_dump(std::vector<VNode> nodes);
 

@@ -1,13 +1,14 @@
 // The durable snapshot format (version "fgsnap 1"; docs/SNAPSHOTS.md).
 //
-// Checkpoints before this layer were full-image text dumps: O(n) bytes and
-// O(n) parse time per wave, with no crash story at all. This header defines
-// the binary on-disk format that makes restore O(changes) instead — a full
-// *base image* written rarely (write-then-rename, so a crash never leaves a
-// half-written base), plus an append-only *delta log* with one CRC-framed
-// record per committed repair wave. Restore decodes the base, then replays
-// only the delta tail; a torn or corrupt tail is detected by its frame CRC
-// and dropped, recovering to the last consistent wave (scan_log).
+// The engine's one checkpoint format. A full *base image* is the canonical
+// encoding of the whole structure — its bytes are the C4 checkpoint every
+// determinism test compares — but it costs O(n) bytes and O(n) decode time,
+// so the durable snapshot makes restore O(changes): a base image written
+// rarely (write-then-rename, so a crash never leaves a half-written base),
+// plus an append-only *delta log* with one CRC-framed record per committed
+// repair wave. Restore decodes the base, then replays only the delta tail;
+// a torn or corrupt tail is detected by its frame CRC and dropped,
+// recovering to the last consistent wave (scan_log).
 //
 // Layered like src/cert: this library defines the *format* — encoding,
 // decoding, CRC framing, torn-tail recovery — and depends on nothing but

@@ -13,10 +13,9 @@
 //     (FG_CHECK) instead of silently growing or overwriting the arena.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
+#include "checkpoint.h"
 #include "fg/forgiving_graph.h"
 #include "fg/sharded_forest.h"
 #include "fg/stabilizer.h"
@@ -27,12 +26,6 @@
 
 namespace fg {
 namespace {
-
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
 
 // ---------------------------------------------------------------------------
 // Property: checkpoints are a pure function of the schedule, not the
@@ -66,13 +59,13 @@ TEST_P(ArenaReservation, CommitWorkerCountNeverChangesTheForest) {
     alive.resize(6);
     for (ForgivingGraph& fg : engines) fg.delete_batch(alive);
 
-    const std::string reference = checkpoint(engines.front());
+    const std::vector<uint8_t> reference = checkpoint(engines.front());
     for (size_t i = 1; i < engines.size(); ++i) {
       ASSERT_EQ(engines[i].forest().arena_size(),
                 engines.front().forest().arena_size())
           << "arena diverged at wave " << wave
           << " with commit workers=" << worker_counts[i];
-      ASSERT_EQ(checkpoint(engines[i]), reference)
+      ASSERT_PRED_FORMAT2(same_bytes, reference, checkpoint(engines[i]))
           << "checkpoint diverged at wave " << wave
           << " with commit workers=" << worker_counts[i];
     }
@@ -178,10 +171,7 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
   run(sequential, /*pooled=*/false);
   run(concurrent, /*pooled=*/true);
 
-  std::stringstream a, b;
-  sequential.save(a);
-  concurrent.save(b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_PRED_FORMAT2(same_bytes, checkpoint(sequential), checkpoint(concurrent));
   sequential.validate();
   concurrent.validate();
   EXPECT_TRUE(audit(concurrent).clean()) << audit(concurrent).summary();
@@ -204,7 +194,8 @@ TEST(ArenaReservation, CommitPoolPersistsAcrossWaves) {
     alive.resize(5);
     single.delete_batch(alive);
     pooled.delete_batch(alive);
-    ASSERT_EQ(checkpoint(single), checkpoint(pooled)) << "wave " << wave;
+    ASSERT_PRED_FORMAT2(same_bytes, checkpoint(single), checkpoint(pooled))
+        << "wave " << wave;
   }
   // Shrinking the pool back to inline keeps working (and stays identical).
   pooled.set_commit_workers(1);
@@ -213,7 +204,7 @@ TEST(ArenaReservation, CommitPoolPersistsAcrossWaves) {
   std::vector<NodeId> wave{alive[0], alive[alive.size() / 2]};
   single.delete_batch(wave);
   pooled.delete_batch(wave);
-  EXPECT_EQ(checkpoint(single), checkpoint(pooled));
+  EXPECT_PRED_FORMAT2(same_bytes, checkpoint(single), checkpoint(pooled));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@
 //     fan-out across waves and worker-count changes.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
+#include "checkpoint.h"
 #include "fg/forgiving_graph.h"
 #include "fg/sharded_forest.h"
 #include "fg/stabilizer.h"
@@ -30,12 +29,6 @@
 
 namespace fg {
 namespace {
-
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
 
 // Break every region of one wave on a WorkerPool with `background` threads
 // (0: inline on the calling thread), recording each region's side effects,
@@ -95,10 +88,7 @@ TEST(BreakPool, ConcurrentBreakRegionsMatchSequential) {
     finish_merge(concurrent, plan, pooled_break(concurrent, plan, 3));
   }
 
-  std::stringstream a, b;
-  sequential.save(a);
-  concurrent.save(b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_PRED_FORMAT2(same_bytes, checkpoint(sequential), checkpoint(concurrent));
   sequential.validate();
   concurrent.validate();
   EXPECT_TRUE(audit(concurrent).clean()) << audit(concurrent).summary();
@@ -126,10 +116,8 @@ TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
       core::RepairPlan plan = concurrent.plan_deletion(alive);
       finish_merge(concurrent, plan, pooled_break(concurrent, plan, 2));
     }
-    std::stringstream a, b;
-    sequential.save(a);
-    concurrent.save(b);
-    ASSERT_EQ(a.str(), b.str()) << "wave " << wave;
+    ASSERT_PRED_FORMAT2(same_bytes, checkpoint(sequential), checkpoint(concurrent))
+        << "wave " << wave;
     const AuditReport report = audit(concurrent);
     ASSERT_TRUE(report.clean()) << "wave " << wave << ": " << report.summary();
   }
@@ -156,7 +144,8 @@ TEST(BreakPool, EngineKnobComposesWithMergeWorkersAcrossWaves) {
     alive.resize(5);
     single.delete_batch(alive);
     pooled.delete_batch(alive);
-    ASSERT_EQ(checkpoint(single), checkpoint(pooled)) << "wave " << wave;
+    ASSERT_PRED_FORMAT2(same_bytes, checkpoint(single), checkpoint(pooled))
+        << "wave " << wave;
   }
   single.validate();
   pooled.validate();
@@ -179,7 +168,7 @@ TEST(BreakPool, GlobalSplitSingleRegionBreaksInline) {
   alive.resize(6);
   single.delete_batch(alive);
   pooled.delete_batch(alive);
-  EXPECT_EQ(checkpoint(single), checkpoint(pooled));
+  EXPECT_PRED_FORMAT2(same_bytes, checkpoint(single), checkpoint(pooled));
   pooled.validate();
 }
 

@@ -11,7 +11,6 @@
 // the same path, so even the arena handles agree.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <sstream>
@@ -20,13 +19,13 @@
 
 #include "adversary/adversary.h"
 #include "cert/certificate.h"
+#include "checkpoint.h"
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/generators.h"
 #include "harness/certificate.h"
 #include "harness/trace.h"
 #include "heal/healer.h"
-#include "snap/snapshot.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -59,13 +58,6 @@ void expect_same_waves(const std::vector<std::string>& ref,
   for (size_t w = 0; w < ref.size(); ++w) {
     ASSERT_EQ(ref[w], got[w]) << label << ": first divergence at wave " << w;
   }
-}
-
-/// The canonical encoding of a core's whole structure (docs/SNAPSHOTS.md).
-std::vector<uint8_t> base_bytes(const core::StructuralCore& core) {
-  snap::BaseImage image;
-  core.to_base_image(&image);
-  return snap::encode_base(image);
 }
 
 struct CorpusCase {
@@ -142,14 +134,8 @@ TEST_P(CertificateEquivalence, ThreeEnginesEmitIdenticalCertificates) {
     // the ONLY difference. The base images are compared byte for byte — a
     // CRC over a whole image cannot see its content (docs/SNAPSHOTS.md).
     for (const cert::WaveCertificate& w : got.certs) EXPECT_TRUE(w.cost.present);
-    const std::vector<uint8_t> want = base_bytes(recorded.engine().core());
-    const std::vector<uint8_t> have = base_bytes(net.core());
-    const auto common = static_cast<std::ptrdiff_t>(std::min(want.size(), have.size()));
-    const auto diff = std::mismatch(want.begin(), want.begin() + common, have.begin());
-    EXPECT_TRUE(want == have) << "dist kGlobalPlan base image differs from the centralized one: "
-                              << have.size() << " vs " << want.size()
-                              << " bytes, first difference at byte "
-                              << (diff.first - want.begin());
+    EXPECT_PRED_FORMAT2(same_bytes, checkpoint(recorded.engine()), checkpoint(net.core()))
+        << "dist kGlobalPlan base image differs from the centralized one";
   }
 }
 

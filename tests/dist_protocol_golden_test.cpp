@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint.h"
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/generators.h"
-#include "snap/snapshot.h"
 #include "util/rng.h"
 
 namespace fg::dist {
@@ -64,12 +64,6 @@ net::DeliveryPolicy policy_of(Policy p) {
     d.dup_one_in = 5;
   }
   return d;
-}
-
-std::vector<uint8_t> base_bytes(const core::StructuralCore& core) {
-  snap::BaseImage image;
-  core.to_base_image(&image);
-  return snap::encode_base(image);
 }
 
 /// Replays the stream: per wave, one insert with three alive neighbours,
@@ -134,7 +128,7 @@ TEST_P(DistProtocolGolden, CountsMatchRecordedConstants) {
   EXPECT_EQ(got, g.expected);
   net.validate();
   if (global) {
-    EXPECT_EQ(base_bytes(net.core()), base_bytes(central.core()));
+    EXPECT_PRED_FORMAT2(same_bytes, checkpoint(central), checkpoint(net.core()));
   }
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "cert/certificate.h"
+#include "checkpoint.h"
 #include "fg/healer_service.h"
 #include "fg/stabilizer.h"
 #include "graph/generators.h"
@@ -30,12 +31,6 @@
 
 namespace fg {
 namespace {
-
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
 
 /// Seeded mixed churn stream over a pool mirror (the bench driver's scheme
 /// in miniature): every delete victim leaves the pool when generated and
@@ -68,7 +63,7 @@ std::vector<ChurnOp> make_stream(int n, int ops, uint64_t seed) {
 }
 
 struct ServiceRun {
-  std::string checkpoint;
+  std::vector<uint8_t> checkpoint;
   std::string cert_bytes;
   HealerStats stats;
 };
@@ -95,7 +90,7 @@ ServiceRun run_service(const Graph& g0, const std::vector<ChurnOp>& ops,
 /// each healed by one delete_batch, and every `certify_every`-th wave's
 /// certificate is saved in order.
 struct Replay {
-  std::string checkpoint;
+  std::vector<uint8_t> checkpoint;
   std::string cert_bytes;
   int64_t waves = 0;
   int64_t deletes = 0;
@@ -167,7 +162,7 @@ TEST_P(HealerServiceEquivalence, MatchesWaveAtATimeReplayByteIdentically) {
     config.break_workers = workers;
     ServiceRun run = run_service(g0, ops, config, split);
 
-    EXPECT_EQ(reference.checkpoint, run.checkpoint)
+    EXPECT_PRED_FORMAT2(same_bytes, reference.checkpoint, run.checkpoint)
         << "checkpoint diverged at " << workers << " workers";
     EXPECT_EQ(reference.cert_bytes, run.cert_bytes)
         << "certificate stream diverged at " << workers << " workers";
@@ -202,7 +197,7 @@ TEST(HealerService, BreakWorkersBitIdenticalAcrossSplits) {
       config.break_workers = workers;
       config.commit_workers = workers;
       ServiceRun run = run_service(g0, ops, config, split);
-      EXPECT_EQ(reference.checkpoint, run.checkpoint)
+      EXPECT_PRED_FORMAT2(same_bytes, reference.checkpoint, run.checkpoint)
           << "checkpoint diverged at break workers=" << workers;
       EXPECT_EQ(reference.cert_bytes, run.cert_bytes)
           << "certificate stream diverged at break workers=" << workers;
@@ -237,7 +232,7 @@ TEST(HealerService, DuplicateAndDeadDeletesDropConsistently) {
   EXPECT_EQ(run.stats.dropped_deletes, 3);
   EXPECT_EQ(run.stats.deletes, 4);
   EXPECT_EQ(reference.deletes, 4);
-  EXPECT_EQ(reference.checkpoint, run.checkpoint);
+  EXPECT_PRED_FORMAT2(same_bytes, reference.checkpoint, run.checkpoint);
 }
 
 TEST(HealerService, RejectsBadInsertsWithoutAborting) {
@@ -286,7 +281,7 @@ TEST(HealerService, RejectsBadInsertsWithoutAborting) {
   EXPECT_EQ(stats.cert_rejections, 0);
   ASSERT_EQ(alerts.size(), 4u);
   for (const std::string& a : alerts) EXPECT_EQ(a.rfind("insert rejected: ", 0), 0u) << a;
-  EXPECT_EQ(checkpoint(service.engine()), clean.checkpoint);
+  EXPECT_PRED_FORMAT2(same_bytes, clean.checkpoint, checkpoint(service.engine()));
   EXPECT_EQ(certs.str(), clean.cert_bytes);
   service.engine().validate();
 }

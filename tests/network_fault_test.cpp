@@ -13,15 +13,15 @@
 // already-satisfied dependency count.
 //
 // The last tests cover the recovery seams around the network: a corrupted
-// replica restored from a distributed checkpoint (core().save()) is healed
+// replica restored from a distributed checkpoint (base-image bytes) is healed
 // by fg::Stabilizer, and a stale plan — the one fault the pipeline must
 // refuse rather than absorb — dies on the core's admission check.
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cert/certificate.h"
+#include "checkpoint.h"
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "fg/stabilizer.h"
@@ -124,9 +124,9 @@ TEST(NetworkFault, DropRemovesTrafficDupIsInvisible) {
 }
 
 // The recovery seam across engines: checkpoint a churned distributed
-// replica (core().save()), restore it into the centralized engine, corrupt
-// the restored copy, and let the stabilizer bring it back — clean audit,
-// valid invariants, certificate ACCEPTed.
+// replica (its base-image bytes), restore it into the centralized engine,
+// corrupt the restored copy, and let the stabilizer bring it back — clean
+// audit, valid invariants, certificate ACCEPTed.
 TEST(NetworkFault, CorruptedReplicaCheckpointStabilizes) {
   Rng rng(53);
   dist::DistForgivingGraph net(make_erdos_renyi(44, 0.14, rng));
@@ -141,10 +141,7 @@ TEST(NetworkFault, CorruptedReplicaCheckpointStabilizes) {
     net.remove(rng.pick(alive));
   }
 
-  std::ostringstream checkpoint;
-  net.core().save(checkpoint);
-  std::istringstream restore(checkpoint.str());
-  ForgivingGraph replica = ForgivingGraph::load(restore);
+  ForgivingGraph replica(restore_checkpoint(checkpoint(net.core())));
   replica.validate();
   ASSERT_TRUE(replica.healed().same_topology(net.image()));
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "adversary/adversary.h"
+#include "checkpoint.h"
 #include "fg/forgiving_graph.h"
 #include "graph/generators.h"
 #include "harness/certificate.h"
@@ -32,12 +33,6 @@ Graph build_graph(const std::string& kind, int n, Rng& rng) {
   if (kind == "ba") return make_barabasi_albert(n, 2, rng);
   ADD_FAILURE() << "unknown graph kind";
   return Graph(1);
-}
-
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
 }
 
 struct CorpusCase {
@@ -68,7 +63,7 @@ TEST_P(ShardDeterminism, ConcurrentReplayIsBitIdentical) {
   auto adversary = make_adversary(c.adversary);
   Trace t = record_run(recorded, *adversary, c.steps, rng);
   ASSERT_GE(t.size(), 1u);
-  std::string reference = checkpoint(recorded.engine());
+  const std::vector<uint8_t> reference = checkpoint(recorded.engine());
 
   // The trace round-trips through the text format (r lines included).
   std::stringstream ss;
@@ -90,7 +85,7 @@ TEST_P(ShardDeterminism, ConcurrentReplayIsBitIdentical) {
     replayed.engine().set_commit_workers(workers);
     replayed.engine().set_break_workers(workers);
     loaded.replay(replayed);
-    ASSERT_EQ(reference, checkpoint(replayed.engine()))
+    ASSERT_PRED_FORMAT2(same_bytes, reference, checkpoint(replayed.engine()))
         << c.graph << "/" << c.adversary << " diverged with workers=" << workers;
     replayed.engine().validate();
   }
@@ -129,7 +124,7 @@ TEST(ShardDeterminism, BreakWorkersBitIdenticalAcrossSplits) {
 
   for (core::RegionSplit split :
        {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
-    std::string ref_checkpoint;
+    std::vector<uint8_t> ref_checkpoint;
     std::string ref_certs;
     for (int bw : {1, 2, 4}) {
       for (int cw : {1, 2, 4}) {
@@ -147,7 +142,7 @@ TEST(ShardDeterminism, BreakWorkersBitIdenticalAcrossSplits) {
           ref_certs = certs.str();
           ASSERT_FALSE(ref_certs.empty());
         } else {
-          EXPECT_EQ(ref_checkpoint, checkpoint(fg))
+          EXPECT_PRED_FORMAT2(same_bytes, ref_checkpoint, checkpoint(fg))
               << "checkpoint diverged at break=" << bw << " commit=" << cw;
           EXPECT_EQ(ref_certs, certs.str())
               << "certificate bytes diverged at break=" << bw << " commit=" << cw;
@@ -185,7 +180,7 @@ TEST(ShardDeterminism, MixedScheduleWithInsertions) {
   both_batch({5, 6, 50});
   both_insert({2, 30, 60});
   both_batch({22, 23});
-  EXPECT_EQ(checkpoint(single), checkpoint(sharded));
+  EXPECT_PRED_FORMAT2(same_bytes, checkpoint(single), checkpoint(sharded));
   single.validate();
   sharded.validate();
 }

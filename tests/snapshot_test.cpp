@@ -3,8 +3,9 @@
 //
 // Four contracts are pinned here:
 //   1. Round-trip: a base image plus the per-wave delta tail restores a core
-//      whose text checkpoint is byte-identical to the live engine's — after
-//      EVERY wave, not just the last (the O(changes) replay path is exact).
+//      whose checkpoint (base-image bytes) is byte-identical to the live
+//      engine's — after EVERY wave, not just the last (the O(changes)
+//      replay path is exact).
 //   2. C4 extended to snapshot bytes: base bytes and every delta frame are
 //      a pure function of the op stream — identical at any break x commit
 //      worker count and either RegionSplit mode.
@@ -13,20 +14,23 @@
 //      wave, and the restored core passes the full I1-I5 audit; a resumed
 //      service replaying the op stream from the restore cursor lands on the
 //      uninterrupted run's checkpoint byte for byte.
-//   4. Typed loader errors: try_load / from_base_image / apply_wave_delta
-//      reject malformed input with an error message, never an abort — only
-//      the trusted-path load() wrapper keeps the FG_CHECK death.
+//   4. Typed loader errors: from_base_image / apply_wave_delta reject
+//      malformed input with an error message, never an abort.
+//
+// The standalone fgsnap tool's exit codes and its `dump` text view are
+// pinned at the end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <utility>
 #include <vector>
 
+#include "checkpoint.h"
 #include "fg/forgiving_graph.h"
 #include "fg/healer_service.h"
 #include "fg/snapshot_writer.h"
@@ -37,14 +41,6 @@
 
 namespace fg {
 namespace {
-
-std::string checkpoint(const core::StructuralCore& core) {
-  std::stringstream ss;
-  core.save(ss);
-  return ss.str();
-}
-
-std::string checkpoint(const ForgivingGraph& fg) { return checkpoint(fg.core()); }
 
 /// Seeded mixed churn stream over a pool mirror (the healer-service test's
 /// scheme): valid by construction, fully determined by (n, ops, seed).
@@ -77,15 +73,15 @@ std::vector<ChurnOp> make_stream(int n, int ops, uint64_t seed) {
 /// One engine-level capture: drive a ForgivingGraph through the op stream
 /// in serial-service fashion (inserts in order, deletes batched into waves
 /// of `wave_size`) with a SnapshotRecorder attached, keeping the initial
-/// base image, every delta (record + encoded frame), and the live text
+/// base image, every delta (record + encoded frame), and the live
 /// checkpoint at each wave commit.
 struct Capture {
   snap::BaseImage base;                       // state before any op
   std::vector<uint8_t> base_bytes;
   std::vector<snap::WaveDelta> deltas;
   std::vector<uint8_t> frame_bytes;           // concatenated delta frames
-  std::vector<std::string> wave_checkpoints;  // live state at each commit
-  std::string final_checkpoint;
+  std::vector<std::vector<uint8_t>> wave_checkpoints;  // live state per commit
+  std::vector<uint8_t> final_checkpoint;
   uint64_t final_epoch = 0;
 };
 
@@ -172,8 +168,7 @@ TEST(SnapshotFormat, BaseImageRoundTripsThroughBytes) {
       run_engine(g0, make_stream(300, 800, 0xABC), 8, 1, core::RegionSplit::kPerRegion);
 
   // Re-capture the final state as a base image and push it through bytes.
-  std::istringstream is(cap.final_checkpoint);
-  core::StructuralCore live = core::StructuralCore::load(is);
+  core::StructuralCore live = restore_checkpoint(cap.final_checkpoint);
   snap::BaseImage image;
   live.to_base_image(&image);
   image.wave = 7;
@@ -188,18 +183,18 @@ TEST(SnapshotFormat, BaseImageRoundTripsThroughBytes) {
 
   core::StructuralCore restored;
   ASSERT_TRUE(core::StructuralCore::from_base_image(back, &restored, &error)) << error;
-  EXPECT_EQ(checkpoint(restored), cap.final_checkpoint);
+  EXPECT_PRED_FORMAT2(same_bytes, cap.final_checkpoint, checkpoint(restored));
   EXPECT_EQ(restored.mutation_epoch(), live.mutation_epoch());
   restored.validate();
 }
 
-TEST(SnapshotFormat, FromBaseImageRejectsTamperedDerivedState) {
+/// A churned engine with dead processors, RTs and helpers: 120 processors
+/// under 300 mixed ops, deletions healed in waves of 8.
+ForgivingGraph churned_engine() {
   Rng rng(12);
-  Graph g0 = make_sparse_random(120, 4.0, rng);
-  ForgivingGraph fg(g0);
-  std::vector<ChurnOp> ops = make_stream(120, 300, 0xD1CE);
+  ForgivingGraph fg(make_sparse_random(120, 4.0, rng));
   std::vector<NodeId> wave;
-  for (const ChurnOp& op : ops) {
+  for (const ChurnOp& op : make_stream(120, 300, 0xD1CE)) {
     if (op.kind == ChurnOp::Kind::kInsert) {
       fg.insert(op.neighbors);
     } else if (fg.is_alive(op.victim) &&
@@ -211,158 +206,101 @@ TEST(SnapshotFormat, FromBaseImageRejectsTamperedDerivedState) {
       }
     }
   }
+  return fg;
+}
+
+TEST(SnapshotFormat, FromBaseImageRejectsTamperedDerivedState) {
   snap::BaseImage good;
-  fg.core().to_base_image(&good);
+  churned_engine().core().to_base_image(&good);
+  ASSERT_FALSE(good.dead.empty());
+  ASSERT_GE(good.gprime_edges.size(), 2u);
   ASSERT_FALSE(good.mult.empty());
   ASSERT_FALSE(good.slots.empty());
 
-  core::StructuralCore out;
-  std::string error;
+  // Alive rows to aim at: two leaves and two helpers.
+  std::vector<size_t> leaves, helpers;
+  for (size_t h = 0; h < good.rows.size(); ++h)
+    if (good.rows[h].alive) (good.rows[h].is_leaf ? leaves : helpers).push_back(h);
+  ASSERT_GE(leaves.size(), 2u);
+  ASSERT_GE(helpers.size(), 2u);
+  const size_t leaf = leaves[0];
+  const size_t helper = helpers[0];
+  const int32_t capacity = static_cast<int32_t>(good.capacity);
+  const int32_t arena = static_cast<int32_t>(good.rows.size());
+  auto rebook = [](snap::VRow& row, const snap::VRow& onto) {
+    row.owner = onto.owner;
+    row.other = onto.other;
+  };
 
-  snap::BaseImage bad = good;
-  bad.mult[0].count += 1;  // multiplicity desynced from the forest
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-  EXPECT_NE(error.find("MULT"), std::string::npos) << error;
-
-  bad = good;
-  bad.slots.pop_back();  // slot table no longer matches the rows
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-  EXPECT_NE(error.find("SLOT"), std::string::npos) << error;
-
-  bad = good;
-  size_t alive_row = 0;
-  while (alive_row < bad.rows.size() && !bad.rows[alive_row].alive) ++alive_row;
-  ASSERT_LT(alive_row, bad.rows.size());
-  bad.rows[alive_row].leaf_count = -3;  // structural pre-validation
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-
-  // Aggregates out of range, through a CRC-valid encode: a live helper of
-  // height 70 would reach is_perfect's 64-bit shift on the next wave, and
-  // neither field may narrow into the packed row unchecked.
-  size_t helper = 0;
-  while (helper < good.rows.size() &&
-         !(good.rows[helper].alive && !good.rows[helper].is_leaf))
-    ++helper;
-  ASSERT_LT(helper, good.rows.size());
-  const snap::VRow& row = good.rows[helper];
-  const std::pair<int32_t, int64_t> out_of_range[] = {
-      {70, row.leaf_count}, {-1, row.leaf_count}, {row.height, int64_t{1} << 32},
-      {row.height, 0}};
-  for (const auto& [height, leaf_count] : out_of_range) {
-    bad = good;
-    bad.rows[helper].height = height;
-    bad.rows[helper].leaf_count = leaf_count;
-    snap::BaseImage decoded;
-    ASSERT_TRUE(snap::decode_base(snap::encode_base(bad), &decoded, &error)) << error;
-    EXPECT_FALSE(core::StructuralCore::from_base_image(decoded, &out, &error))
-        << "height " << height << " leaf_count " << leaf_count;
-    EXPECT_NE(error.find("aggregates out of range"), std::string::npos) << error;
-  }
-
-  bad = good;
-  bad.gprime_edges.push_back(bad.gprime_edges.back());  // duplicate G' edge
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-}
-
-// ---------------------------------------------------------------------------
-// try_load: typed errors instead of the historical abort.
-
-constexpr const char* kGoodCheckpoint =
-    "FGv1\n"
-    "capacity 3\n"
-    "dead\n"
-    "edges 2\n"
-    "0 1\n"
-    "1 2\n"
-    "vnodes 0\n"
-    "end\n";
-
-std::string replace_once(const std::string& text, const std::string& from,
-                         const std::string& to) {
-  size_t pos = text.find(from);
-  EXPECT_NE(pos, std::string::npos) << "fixture lacks: " << from;
-  return text.substr(0, pos) + to + text.substr(pos + from.size());
-}
-
-TEST(SnapshotTryLoad, AcceptsTheFixtureAndRealCheckpoints) {
-  {
-    std::istringstream is(kGoodCheckpoint);
-    core::StructuralCore out;
-    std::string error;
-    ASSERT_TRUE(core::StructuralCore::try_load(is, &out, &error)) << error;
-    EXPECT_EQ(checkpoint(out), kGoodCheckpoint);
-  }
-  Rng rng(21);
-  Graph g0 = make_sparse_random(200, 4.0, rng);
-  Capture cap =
-      run_engine(g0, make_stream(200, 600, 0xF00), 8, 1, core::RegionSplit::kPerRegion);
-  std::istringstream is(cap.final_checkpoint);
-  core::StructuralCore out;
-  std::string error;
-  ASSERT_TRUE(core::StructuralCore::try_load(is, &out, &error)) << error;
-  EXPECT_EQ(checkpoint(out), cap.final_checkpoint);
-  out.validate();
-}
-
-TEST(SnapshotTryLoad, RejectsMalformedCheckpointsWithTypedErrors) {
+  // Every case goes through a CRC-valid encode/decode, so it is the
+  // structural checks of from_base_image that must catch it, by name.
   struct Case {
     const char* label;
-    const char* from;
-    const char* to;
+    std::function<void(snap::BaseImage&)> tamper;
     const char* diag;  ///< Substring the error must contain.
   };
   const Case cases[] = {
-      {"wrong header", "FGv1\n", "FGv2\n", "FGv1"},
-      {"negative capacity", "capacity 3\n", "capacity -3\n", "bad capacity"},
-      {"dead id out of range", "dead\n", "dead 7\n", "dead id out of range"},
-      {"duplicate dead id", "dead\n", "dead 2 2\n", "duplicate dead id"},
-      {"garbage in dead line", "dead\n", "dead 2 x\n", "garbage in dead section"},
-      {"negative edge count", "edges 2\n", "edges -1\n", "bad edge count"},
-      {"overlong edge count", "edges 2\n", "edges 5\n", "truncated edge list"},
-      {"edge endpoint out of range", "0 1\n", "0 9\n", "edge endpoint"},
-      {"self-loop edge", "0 1\n", "1 1\n", "edge endpoint"},
-      {"duplicate edge", "0 1\n1 2\n", "0 1\n0 1\n", "duplicate G' edge"},
-      {"negative vnode count", "vnodes 0\n", "vnodes -2\n", "bad vnode count"},
-      {"truncated vnode rows", "vnodes 0\n", "vnodes 2\n", "truncated vnode row"},
-      {"missing end marker", "end\n", "fin\n", "missing end marker"},
-      {"vnode endpoint out of range", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 9 -1 -1 -1 0 1 0\nend\n", "far endpoint out of range"},
-      {"vnode owner dead", "dead\nedges 2\n0 1\n1 2\nvnodes 0\nend\n",
-       "dead 2\nedges 2\n0 1\n1 2\nvnodes 1\n1 1 2 0 -1 -1 -1 0 1 0\nend\n",
+      {"dead id out of range", [](auto& b) { b.dead.push_back(b.capacity); },
+       "dead id out of range"},
+      {"duplicate dead id", [](auto& b) { b.dead.push_back(b.dead.front()); },
+       "duplicate dead id"},
+      {"G' endpoint out of range",
+       [](auto& b) { b.gprime_edges.back().second = b.capacity; }, "G' edge endpoint"},
+      {"G' self-loop",
+       [](auto& b) { b.gprime_edges[0].second = b.gprime_edges[0].first; },
+       "G' edge endpoint"},
+      {"out-of-order G' edge",
+       [](auto& b) { std::swap(b.gprime_edges[0], b.gprime_edges[1]); }, "out-of-order"},
+      {"duplicate G' edge",
+       [](auto& b) { b.gprime_edges.push_back(b.gprime_edges.back()); }, "duplicate"},
+      {"malformed MULT entry", [](auto& b) { b.mult[0].count = 0; },
+       "malformed MULT entry"},
+      {"MULT desynced from the forest", [](auto& b) { b.mult[0].count += 1; }, "MULT"},
+      {"aggregates: leaf count negative", [&](auto& b) { b.rows[leaf].leaf_count = -3; },
+       "aggregates out of range"},
+      // A live helper of height 70 would reach is_perfect's 64-bit shift on
+      // the next wave, and neither field may narrow into the packed row.
+      {"aggregates: height past 62", [&](auto& b) { b.rows[helper].height = 70; },
+       "aggregates out of range"},
+      {"aggregates: height past int16", [&](auto& b) { b.rows[helper].height = 65536; },
+       "aggregates out of range"},
+      {"aggregates: height negative", [&](auto& b) { b.rows[helper].height = -1; },
+       "aggregates out of range"},
+      {"aggregates: leaf count past int32",
+       [&](auto& b) { b.rows[helper].leaf_count = int64_t{1} << 32; },
+       "aggregates out of range"},
+      {"aggregates: leaf count zero", [&](auto& b) { b.rows[helper].leaf_count = 0; },
+       "aggregates out of range"},
+      {"far endpoint out of range", [&](auto& b) { b.rows[leaf].other = capacity; },
+       "far endpoint out of range"},
+      {"owner not alive",
+       [&](auto& b) { b.rows[leaf].owner = static_cast<int32_t>(b.dead.front()); },
        "owner is not an alive processor"},
-      {"vnode link out of arena", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 5 -1 -1 0 1 0\nend\n", "link outside the live arena"},
-      {"vnode height past 62", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 -1 -1 -1 70 1 0\nend\n", "aggregates out of range"},
-      {"vnode height negative", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 -1 -1 -1 -1 1 0\nend\n", "aggregates out of range"},
-      {"vnode height past int16", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 -1 -1 -1 65536 1 0\nend\n", "aggregates out of range"},
-      {"vnode leaf count zero", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 -1 -1 -1 0 0 0\nend\n", "aggregates out of range"},
-      {"vnode leaf count past int32", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 -1 -1 -1 0 4294967297 0\nend\n", "aggregates out of range"},
-      {"slot leaf double-booked", "vnodes 0\nend\n",
-       "vnodes 2\n1 1 0 1 -1 -1 -1 0 1 0\n1 1 0 1 -1 -1 -1 0 1 1\nend\n",
+      {"link outside the live arena", [&](auto& b) { b.rows[leaf].parent = arena; },
+       "link outside the live arena"},
+      {"rep out of range", [&](auto& b) { b.rows[helper].rep = arena; },
+       "representative out of range"},
+      {"forest_live mismatch", [](auto& b) { b.forest_live += 1; },
+       "forest live count disagrees"},
+      {"slot leaf booked twice",
+       [&](auto& b) { rebook(b.rows[leaves[1]], b.rows[leaf]); },
        "slot leaf double-booked"},
-      {"truncated stream", "edges 2\n0 1\n1 2\nvnodes 0\nend\n", "edges 2\n0 1\n",
-       "truncated edge list"},
-      {"empty stream", kGoodCheckpoint, "", "missing FGv1 header"},
+      {"slot helper booked twice",
+       [&](auto& b) { rebook(b.rows[helpers[1]], b.rows[helper]); },
+       "slot helper double-booked"},
+      {"SLOT section too short", [](auto& b) { b.slots.pop_back(); }, "SLOT"},
   };
   for (const Case& c : cases) {
-    std::istringstream is(replace_once(kGoodCheckpoint, c.from, c.to));
+    snap::BaseImage bad = good;
+    c.tamper(bad);
+    snap::BaseImage decoded;
     core::StructuralCore out;
     std::string error;
-    EXPECT_FALSE(core::StructuralCore::try_load(is, &out, &error)) << c.label;
+    ASSERT_TRUE(snap::decode_base(snap::encode_base(bad), &decoded, &error)) << error;
+    EXPECT_FALSE(core::StructuralCore::from_base_image(decoded, &out, &error)) << c.label;
     EXPECT_NE(error.find(c.diag), std::string::npos)
         << c.label << " misdiagnosed as: " << error;
   }
-}
-
-TEST(SnapshotTryLoadDeathTest, TrustedLoadStillDiesLoudly) {
-  std::istringstream is("FGv1\ncapacity nope\n");
-  EXPECT_DEATH(core::StructuralCore::load(is), "malformed checkpoint");
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +329,7 @@ TEST_P(SnapshotRoundTrip, DeltaReplayMatchesLiveEngineAtEveryWave) {
   for (size_t w = 0; w < cap.deltas.size(); ++w) {
     ASSERT_TRUE(shadow.apply_wave_delta(cap.deltas[w], &error))
         << "wave " << w + 1 << ": " << error;
-    ASSERT_EQ(checkpoint(shadow), cap.wave_checkpoints[w])
+    ASSERT_PRED_FORMAT2(same_bytes, cap.wave_checkpoints[w], checkpoint(shadow))
         << "replay diverged at wave " << w + 1;
   }
   // The live engine keeps mutating past the last wave commit (trailing
@@ -481,10 +419,10 @@ TEST_P(SnapshotC4, BytesAreScheduleIndependent) {
   ASSERT_GE(reference.deltas.size(), 5u);
   for (int workers : {2, 4}) {
     Capture other = run_engine(g0, ops, 12, workers, split);
-    EXPECT_EQ(reference.base_bytes, other.base_bytes);
-    EXPECT_EQ(reference.frame_bytes, other.frame_bytes)
+    EXPECT_PRED_FORMAT2(same_bytes, reference.base_bytes, other.base_bytes);
+    EXPECT_PRED_FORMAT2(same_bytes, reference.frame_bytes, other.frame_bytes)
         << "delta bytes diverged at " << workers << " workers";
-    EXPECT_EQ(reference.final_checkpoint, other.final_checkpoint);
+    EXPECT_PRED_FORMAT2(same_bytes, reference.final_checkpoint, other.final_checkpoint);
   }
 }
 
@@ -525,7 +463,7 @@ TEST(SnapshotService, ResumeMatchesUninterruptedByteForByte) {
   // observer, invisible in everything the service does.
   HealerConfig plain = snapshot_config("unused", 0);
   plain.snapshot_path.clear();
-  std::string reference;
+  std::vector<uint8_t> reference;
   int64_t reference_waves = 0;
   {
     HealerService service(g0, plain);
@@ -560,7 +498,7 @@ TEST(SnapshotService, ResumeMatchesUninterruptedByteForByte) {
     HealerService resumed(std::move(restored), res.waves, res.cursor, config);
     for (size_t i = res.cursor; i < ops.size(); ++i) resumed.push(ops[i]);
     resumed.flush();
-    EXPECT_EQ(checkpoint(resumed.engine()), reference)
+    EXPECT_PRED_FORMAT2(same_bytes, reference, checkpoint(resumed.engine()))
         << "resume from op " << res.cursor << " (cut " << cut << ") diverged";
     EXPECT_EQ(resumed.stats().waves, reference_waves);
   }
@@ -577,7 +515,7 @@ TEST(SnapshotService, DeltaLogShrinksRestoreCost) {
   HealerConfig config = snapshot_config(tag, 64);
   ServiceFiles files = service_paths(tag);
   int64_t waves = 0;
-  std::string final_checkpoint;
+  std::vector<uint8_t> final_checkpoint;
   {
     HealerService service(g0, config);
     VectorChurnStream stream(ops);
@@ -598,7 +536,7 @@ TEST(SnapshotService, DeltaLogShrinksRestoreCost) {
   SnapshotRestore res = restore_snapshot(files.base, files.log, &restored);
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.waves, static_cast<uint64_t>(waves));
-  EXPECT_EQ(checkpoint(restored), final_checkpoint);
+  EXPECT_PRED_FORMAT2(same_bytes, final_checkpoint, checkpoint(restored));
 }
 
 // ---------------------------------------------------------------------------
@@ -683,6 +621,16 @@ TEST(SnapshotTornWrite, TruncationsAndFlipsRecoverToAuditCleanState) {
 // ---------------------------------------------------------------------------
 // The standalone verifier's process-level exit contract.
 
+/// Run the fgsnap binary; its stdout goes to `out`, stderr is dropped.
+/// Returns the exit status.
+int fgsnap(const std::string& args, const std::string& out = "/dev/null") {
+  const std::string cmd =
+      std::string(FG_FGSNAP_BIN) + " " + args + " > " + out + " 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  EXPECT_NE(status, -1);
+  return WEXITSTATUS(status);
+}
+
 TEST(SnapshotTool, FgsnapExitCodesPinned) {
   Rng rng(80);
   Graph g0 = make_sparse_random(200, 4.0, rng);
@@ -696,18 +644,11 @@ TEST(SnapshotTool, FgsnapExitCodesPinned) {
     service.run(stream);
   }
 
-  auto fgsnap = [](const std::string& args) {
-    const std::string cmd =
-        std::string(FG_FGSNAP_BIN) + " " + args + " > /dev/null 2>&1";
-    const int status = std::system(cmd.c_str());
-    EXPECT_NE(status, -1);
-    return WEXITSTATUS(status);
-  };
-
   EXPECT_EQ(fgsnap("--selftest"), 0);
   EXPECT_EQ(fgsnap("verify " + files.base), 0);
   EXPECT_EQ(fgsnap("verify " + files.base + " " + files.log), 0);
   EXPECT_EQ(fgsnap("info " + files.base + " " + files.log), 0);
+  EXPECT_EQ(fgsnap("dump " + files.base), 0);
 
   // Torn tail: detected, exit 1.
   std::vector<uint8_t> log_bytes;
@@ -726,8 +667,37 @@ TEST(SnapshotTool, FgsnapExitCodesPinned) {
   const std::string bad_base = files.base + ".bad";
   ASSERT_TRUE(snap::write_file_atomic(bad_base, base_bytes, &error)) << error;
   EXPECT_EQ(fgsnap("verify " + bad_base), 1);
+  EXPECT_EQ(fgsnap("dump " + bad_base), 1);
   EXPECT_EQ(fgsnap("verify " + files.base + ".does-not-exist"), 2);
+  EXPECT_EQ(fgsnap("dump " + files.base + ".does-not-exist"), 2);
   EXPECT_EQ(fgsnap("frobnicate " + files.base), 2);
+}
+
+// `fgsnap dump` against text checkpoints the engine wrote (in this layout)
+// before base images became its one checkpoint format, recorded for two
+// fixed states: the dump of each state's base file reproduces them byte for
+// byte, so the image holds everything the text held.
+TEST(SnapshotTool, FgsnapDumpMatchesRecordedTextCheckpoints) {
+  Rng rng(41);
+  ForgivingGraph er(make_erdos_renyi(40, 0.15, rng));
+  for (int i = 0; i < 15; ++i) er.remove(rng.pick(er.healed().alive_nodes()));
+  const std::pair<const char*, ForgivingGraph> states[] = {
+      {"er40_15del", std::move(er)}, {"sparse120_churned", churned_engine()}};
+
+  for (const auto& [name, fg] : states) {
+    const std::string base = testing::TempDir() + "/dump_" + name + ".base";
+    const std::string text = base + ".txt";
+    std::string error;
+    ASSERT_TRUE(snap::write_file_atomic(base, checkpoint(fg), &error)) << error;
+    ASSERT_EQ(fgsnap("dump " + base, text), 0) << name;
+    std::vector<uint8_t> want, have;
+    ASSERT_TRUE(snap::read_file(std::string(FG_REPO_DIR) + "/tests/data/checkpoints/" +
+                                    name + ".fgv1",
+                                &want, &error))
+        << error;
+    ASSERT_TRUE(snap::read_file(text, &have, &error)) << error;
+    EXPECT_PRED_FORMAT2(same_bytes, want, have) << name;
+  }
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "cert/certificate.h"
+#include "checkpoint.h"
 #include "fg/forgiving_graph.h"
 #include "fg/stabilizer.h"
 #include "fuzz/corruptor.h"
@@ -33,12 +34,6 @@
 
 namespace fg {
 namespace {
-
-std::string checkpoint(const ForgivingGraph& g) {
-  std::ostringstream os;
-  g.save(os);
-  return os.str();
-}
 
 std::string cert_bytes(const cert::WaveCertificate& c) {
   std::ostringstream os;
@@ -131,7 +126,7 @@ TEST(StabilizerFuzz, EveryMutationKindDetectedAndRecovered) {
 // Same seed, same everything: substrate checkpoint, corruption log,
 // post-recovery checkpoint, certificate bytes.
 TEST(StabilizerFuzz, SameSeedReplaysByteIdentically) {
-  auto run = [](uint64_t seed, std::string* ckpt, std::string* cert,
+  auto run = [](uint64_t seed, std::vector<uint8_t>* ckpt, std::string* cert,
                 std::string* log_out) {
     ForgivingGraph fg = fuzz::make_substrate(seed);
     fuzz::CorruptionLog log = fuzz::corrupt(fg, seed, 3);
@@ -146,11 +141,12 @@ TEST(StabilizerFuzz, SameSeedReplaysByteIdentically) {
     *cert = cert_bytes(sink.certs.front());
     *log_out = log.description;
   };
-  std::string ckpt_a, cert_a, log_a, ckpt_b, cert_b, log_b;
+  std::vector<uint8_t> ckpt_a, ckpt_b;
+  std::string cert_a, log_a, cert_b, log_b;
   run(42, &ckpt_a, &cert_a, &log_a);
   run(42, &ckpt_b, &cert_b, &log_b);
   EXPECT_EQ(log_a, log_b);
-  EXPECT_EQ(ckpt_a, ckpt_b);
+  EXPECT_PRED_FORMAT2(same_bytes, ckpt_a, ckpt_b);
   EXPECT_EQ(cert_a, cert_b);
 }
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint.h"
 #include "fg/forgiving_graph.h"
 #include "fg/stabilizer.h"
 #include "fuzz/corruptor.h"
@@ -28,23 +29,17 @@
 namespace fg {
 namespace {
 
-std::string checkpoint(const ForgivingGraph& g) {
-  std::ostringstream os;
-  g.save(os);
-  return os.str();
-}
-
 void expect_clean(ForgivingGraph& fg, const std::string& what) {
   SCOPED_TRACE(what);
   Stabilizer stabilizer(fg);
   AuditReport report = stabilizer.audit();
   EXPECT_TRUE(report.clean()) << report.summary();
-  const std::string before = checkpoint(fg);
+  const std::vector<uint8_t> before = checkpoint(fg);
   const uint64_t epoch = fg.mutation_epoch();
   RecoveryStats recovery = stabilizer.stabilize();
   EXPECT_FALSE(recovery.recovered);
   EXPECT_EQ(fg.mutation_epoch(), epoch);
-  EXPECT_EQ(checkpoint(fg), before);
+  EXPECT_PRED_FORMAT2(same_bytes, before, checkpoint(fg));
 }
 
 /// Seeded churn: a few deletion waves with occasional inserts, so the
@@ -119,7 +114,7 @@ TEST(StabilizerProperty, StabilizeIsAFixedPoint) {
 // every worker count. The recovery plan's regions and arena reservation
 // are a pure function of the audited state, never of scheduling.
 TEST(StabilizerProperty, RecoveryIsScheduleIndependent) {
-  std::string ref_ckpt;
+  std::vector<uint8_t> ref_ckpt;
   std::string ref_cert;
   for (int workers : {1, 2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -138,13 +133,13 @@ TEST(StabilizerProperty, RecoveryIsScheduleIndependent) {
     ASSERT_EQ(sink.certs.size(), 1u);
     std::ostringstream cert_os;
     sink.certs.front().save(cert_os);
-    const std::string ckpt = checkpoint(fg);
+    const std::vector<uint8_t> ckpt = checkpoint(fg);
     if (workers == 1) {
       ref_ckpt = ckpt;
       ref_cert = cert_os.str();
       EXPECT_FALSE(ref_cert.empty());
     } else {
-      EXPECT_EQ(ckpt, ref_ckpt);
+      EXPECT_PRED_FORMAT2(same_bytes, ref_ckpt, ckpt);
       EXPECT_EQ(cert_os.str(), ref_cert);
     }
   }

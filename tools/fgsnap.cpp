@@ -3,7 +3,13 @@
 // Usage:
 //   fgsnap info BASE [LOG]      print a snapshot summary
 //   fgsnap verify BASE [LOG]    verify base image + delta log consistency
+//   fgsnap dump BASE            print a base image as readable text
 //   fgsnap --selftest           run the built-in fixture + corruption table
+//
+// `dump` prints the structure in the line-oriented FGv1 layout (capacity,
+// dead ids, G' edges, every arena row) — a view for people and diffs, not
+// a second checkpoint format: nothing parses it back, and the base image
+// stays the engine's one checkpoint.
 //
 // Exit status 0 iff every input verifies clean; 1 when a file is corrupt
 // (bad magic, CRC mismatch, torn delta tail, wave-sequence gap); 2 when a
@@ -137,6 +143,23 @@ int verify(const std::string& base_path, const std::string& log_path) {
   if (status == 0)
     std::cout << base_path << ": OK (base wave " << base.wave << " + " << records
               << " delta(s) -> wave " << restore_wave << ")\n";
+  return status;
+}
+
+int dump(const std::string& base_path) {
+  int status = 0;
+  BaseImage base;
+  if (!load_base(base_path, &base, &status)) return status;
+  std::cout << "FGv1\ncapacity " << base.capacity << "\ndead";
+  for (uint32_t v : base.dead) std::cout << ' ' << v;
+  std::cout << "\nedges " << base.gprime_edges.size() << '\n';
+  for (const auto& [u, v] : base.gprime_edges) std::cout << u << ' ' << v << '\n';
+  std::cout << "vnodes " << base.rows.size() << '\n';
+  for (const fg::snap::VRow& r : base.rows)
+    std::cout << r.alive << ' ' << r.is_leaf << ' ' << r.owner << ' ' << r.other << ' '
+              << r.parent << ' ' << r.left << ' ' << r.right << ' ' << r.height << ' '
+              << r.leaf_count << ' ' << r.rep << '\n';
+  std::cout << "end\n";
   return status;
 }
 
@@ -326,12 +349,14 @@ int selftest() {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.size() == 1 && args[0] == "--selftest") return selftest();
+  if (args.size() == 2 && args[0] == "dump") return dump(args[1]);
   if (args.size() >= 2 && args.size() <= 3 &&
       (args[0] == "info" || args[0] == "verify")) {
     const std::string log_path = args.size() == 3 ? args[2] : std::string();
     return args[0] == "info" ? info(args[1], log_path) : verify(args[1], log_path);
   }
   std::cerr << "usage: fgsnap info|verify BASE [LOG]\n"
+               "       fgsnap dump BASE\n"
                "       fgsnap --selftest\n";
   return 2;
 }
