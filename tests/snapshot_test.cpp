@@ -14,8 +14,8 @@
 //      wave, and the restored core passes the full I1-I5 audit; a resumed
 //      service replaying the op stream from the restore cursor lands on the
 //      uninterrupted run's checkpoint byte for byte.
-//   4. Typed loader errors: from_base_image / apply_wave_delta reject
-//      malformed input with an error message, never an abort.
+//   4. Typed loader errors: decode_base / from_base_image / apply_wave_delta
+//      reject malformed input with an error message, never an abort.
 //
 // The standalone fgsnap tool's exit codes and its `dump` text view are
 // pinned at the end.
@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <string>
 #include <sys/wait.h>
 #include <utility>
@@ -298,6 +299,123 @@ TEST(SnapshotFormat, FromBaseImageRejectsTamperedDerivedState) {
     std::string error;
     ASSERT_TRUE(snap::decode_base(snap::encode_base(bad), &decoded, &error)) << error;
     EXPECT_FALSE(core::StructuralCore::from_base_image(decoded, &out, &error)) << c.label;
+    EXPECT_NE(error.find(c.diag), std::string::npos)
+        << c.label << " misdiagnosed as: " << error;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Try-load: checkpoint bytes go through decode_base then from_base_image;
+// both report malformed input as a typed error, never an abort.
+
+bool try_load(const std::vector<uint8_t>& bytes, core::StructuralCore* out,
+              std::string* error) {
+  snap::BaseImage image;
+  return snap::decode_base(bytes, &image, error) &&
+         core::StructuralCore::from_base_image(image, out, error);
+}
+
+/// The smallest interesting state: the path 0 - 1 - 2, nothing deleted.
+std::vector<uint8_t> fixture_checkpoint() { return checkpoint(ForgivingGraph(make_path(3))); }
+
+TEST(SnapshotTryLoad, AcceptsTheFixtureAndRealCheckpoints) {
+  {
+    const std::vector<uint8_t> bytes = fixture_checkpoint();
+    core::StructuralCore out;
+    std::string error;
+    ASSERT_TRUE(try_load(bytes, &out, &error)) << error;
+    EXPECT_PRED_FORMAT2(same_bytes, bytes, checkpoint(out));
+    snap::BaseImage image;
+    out.to_base_image(&image);
+    EXPECT_EQ(image.capacity, 3u);
+    EXPECT_TRUE(image.dead.empty());
+    const std::vector<std::pair<uint32_t, uint32_t>> path = {{0, 1}, {1, 2}};
+    EXPECT_EQ(image.gprime_edges, path);
+    EXPECT_EQ(image.forest_live, 0);
+    out.validate();
+  }
+  Rng rng(21);
+  Graph g0 = make_sparse_random(200, 4.0, rng);
+  Capture cap =
+      run_engine(g0, make_stream(200, 600, 0xF00), 8, 1, core::RegionSplit::kPerRegion);
+  core::StructuralCore out;
+  std::string error;
+  ASSERT_TRUE(try_load(cap.final_checkpoint, &out, &error)) << error;
+  EXPECT_PRED_FORMAT2(same_bytes, cap.final_checkpoint, checkpoint(out));
+  out.validate();
+}
+
+TEST(SnapshotTryLoad, RejectsMalformedCheckpointsWithTypedErrors) {
+  const std::vector<uint8_t> good = fixture_checkpoint();
+  // Byte layout (src/snap/snapshot.h): magic, 'B', wave/epoch/cursor u64s,
+  // section count u32, then the GPRM section: tag, payload length u64,
+  // payload (capacity u32, edge count u64, edges), payload CRC u32.
+  const size_t record = snap::kMagicLen;
+  const size_t sections = record + 1 + 3 * 8;
+  const size_t gprm = sections + 4;
+  const size_t gprm_payload = gprm + 4 + 8;
+  const size_t gprm_count = gprm_payload + 4;
+  const size_t gprm_crc = gprm_payload + 4 + 8 + 2 * 8;
+  ASSERT_GT(good.size(), gprm_crc + 4);
+
+  auto put_u64 = [](std::vector<uint8_t>& b, size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  };
+  // Re-seal the GPRM payload after an edit, so only the count check can
+  // catch what the edit broke.
+  auto reseal_gprm = [&](std::vector<uint8_t>& b) {
+    const uint32_t crc = snap::crc32(
+        std::span<const uint8_t>(b).subspan(gprm_payload, gprm_crc - gprm_payload));
+    for (int i = 0; i < 4; ++i) b[gprm_crc + i] = static_cast<uint8_t>(crc >> (8 * i));
+  };
+
+  struct Case {
+    const char* label;
+    std::function<void(std::vector<uint8_t>&)> tamper;
+    const char* diag;  ///< Substring the error must contain.
+  };
+  const Case cases[] = {
+      {"empty stream", [](auto& b) { b.clear(); }, "bad magic"},
+      {"wrong magic", [](auto& b) { b[0] ^= 0xFF; }, "bad magic"},
+      {"cut inside the magic", [](auto& b) { b.resize(snap::kMagicLen - 1); },
+       "bad magic"},
+      {"delta record, not a base", [&](auto& b) { b[record] = 'D'; },
+       "not a base record"},
+      {"cut inside the header", [&](auto& b) { b.resize(record + 10); },
+       "truncated header"},
+      {"section count 4", [&](auto& b) { b[sections] = 4; }, "unexpected section count"},
+      {"wrong section tag", [&](auto& b) { b[gprm] = 'X'; }, "expected section GPRM"},
+      {"payload length past the end", [&](auto& b) { put_u64(b, gprm + 4, b.size()); },
+       "truncated section payload"},
+      {"cut inside a payload", [&](auto& b) { b.resize(gprm_payload + 6); },
+       "truncated section payload"},
+      {"cut before a section CRC", [&](auto& b) { b.resize(gprm_crc + 2); },
+       "truncated section frame"},
+      {"flipped payload byte", [&](auto& b) { b[gprm_payload] ^= 0x01; },
+       "section GPRM CRC mismatch"},
+      {"flipped CRC byte", [&](auto& b) { b[gprm_crc] ^= 0x80; },
+       "section GPRM CRC mismatch"},
+      {"overlong edge count",
+       [&](auto& b) {
+         put_u64(b, gprm_count, 5);
+         reseal_gprm(b);
+       },
+       "bad edge count"},
+      {"edge count short of the payload",
+       [&](auto& b) {
+         put_u64(b, gprm_count, 1);
+         reseal_gprm(b);
+       },
+       "trailing bytes in GPRM"},
+      {"trailing garbage", [](auto& b) { b.push_back(0); },
+       "trailing bytes after sections"},
+  };
+  for (const Case& c : cases) {
+    std::vector<uint8_t> bad = good;
+    c.tamper(bad);
+    core::StructuralCore out;
+    std::string error;
+    EXPECT_FALSE(try_load(bad, &out, &error)) << c.label;
     EXPECT_NE(error.find(c.diag), std::string::npos)
         << c.label << " misdiagnosed as: " << error;
   }
